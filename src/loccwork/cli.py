@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 success, 1 usage error (bad flags, bad flag combinations,
-resource caps), 2 runtime error (missing or malformed input files, failed
-computations).
+resource caps, branch trees over locc.BRANCH_BUDGET_BYTES), 2 runtime error
+(missing or malformed input files, failed computations).
 
 Subcommands:
     work        all work figures for one state
@@ -348,7 +348,7 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, locc.BranchBudgetError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -15,6 +15,10 @@ entropies vanish and the figure reduces to N ln d - H.
 
 from __future__ import annotations
 
+import bisect
+import itertools
+import math
+from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -25,17 +29,73 @@ from .graphs import Graph, greedy_independent_set
 from .qstate import (
     PureState,
     apply_kraus_vector,
-    reduced_density,
     shannon_entropy,
-    von_neumann_entropy,
+    site_entropies,
+    site_marginals,
 )
 
 COMPLETENESS_ATOL = 1e-9
 NULL_LABEL = "phi"
+# A Kraus operator counts as rank-one when the outer product of one of its
+# columns and one of its rows reproduces it to this fraction of its largest
+# entry.
+RANK_ONE_RTOL = 1e-13
+# Most memory a branch tree may take as dense complex vectors, checked
+# before each split and before leaf states are built from compact leaves.
+BRANCH_BUDGET_BYTES = 1 << 29
+COMPLEX_BYTES = 16
 
 
 class ProtocolError(ValueError):
     """Strategy undefined on a history, or structurally invalid protocol."""
+
+
+class BranchBudgetError(ProtocolError):
+    """A branch tree would exceed BRANCH_BUDGET_BYTES of dense amplitudes."""
+
+
+def _check_budget(amplitudes: int, what: str) -> None:
+    need = amplitudes * COMPLEX_BYTES
+    if need > BRANCH_BUDGET_BYTES:
+        raise BranchBudgetError(
+            f"{what} needs {amplitudes} complex amplitudes ({need} bytes), "
+            f"over the branch budget of {BRANCH_BUDGET_BYTES} bytes"
+        )
+
+
+def _rank_one_factors(mats: list) -> tuple | None:
+    """(rows, unit_columns, weights) when every operator is rank-one, else None.
+
+    Operator k is taken as outer(col, row) with row its largest row K[i, :]
+    and col = K[:, j] / K[i, j] for the largest entry of that row.  Taking
+    both from the matrix's own entries, not from an SVD, repeats the dense
+    split's arithmetic on row i, so outcomes that come out exactly 0 there
+    (graph and subset states under Z and X) do here too.  weights[k] =
+    |col|^2 carries the norm onto probabilities, and unit_columns[k] =
+    col / |col| is the post-measurement site state.  A zero operator gets
+    zero rows.
+    """
+    rows, units, weights = [], [], []
+    for m in mats:
+        i = int(np.argmax((np.abs(m) ** 2).sum(axis=1)))
+        row = m[i]
+        j = int(np.argmax(np.abs(row)))
+        if row[j] == 0:
+            rows.append(row)
+            units.append(np.zeros_like(row))
+            weights.append(0.0)
+            continue
+        col = m[:, j] / row[j]
+        if np.abs(np.outer(col, row) - m).max() > RANK_ONE_RTOL * np.abs(m).max():
+            return None
+        weight = float(np.vdot(col, col).real)
+        rows.append(row)
+        units.append(col / np.sqrt(weight))
+        weights.append(weight)
+    arrays = (np.array(rows), np.array(units), np.array(weights))
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -44,9 +104,12 @@ class SiteMeasurement:
 
     Labels are distinct strings; sum K^dag K must equal the identity within
     1e-9.  The trivial measurement is the identity with label "phi".
+    rank_one holds the factors execute collapses a final round with (see
+    _rank_one_factors), or None when some operator is not rank-one.
     """
 
     ops: tuple
+    rank_one: tuple | None = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ops:
@@ -74,6 +137,7 @@ class SiteMeasurement:
         if not np.allclose(total, np.eye(dim), atol=COMPLETENESS_ATOL, rtol=0.0):
             raise ValueError("incomplete Kraus set: sum K^dag K != identity within 1e-9")
         object.__setattr__(self, "ops", tuple(ops))
+        object.__setattr__(self, "rank_one", _rank_one_factors([m for _, m in ops]))
 
     @property
     def local_dim(self) -> int:
@@ -133,20 +197,134 @@ class BranchNode:
 
 
 @dataclass(frozen=True)
+class _DenseLeaves:
+    """Consecutive leaves stored as stacked, normalized state vectors."""
+
+    histories: tuple
+    vectors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.histories)
+
+    def history(self, i: int) -> tuple:
+        return self.histories[i]
+
+    def all_histories(self) -> tuple:
+        return self.histories
+
+    def state(self, i: int) -> np.ndarray:
+        return self.vectors[i]
+
+    def residual_entropies(self, num_sites: int, local_dim: int) -> np.ndarray:
+        """Summed single-site entropies of each leaf."""
+        return site_entropies(site_marginals(self.vectors, num_sites, local_dim)).sum(axis=1)
+
+
+@dataclass(frozen=True)
+class _ProductLeaves:
+    """Leaves of one branch whose final round was rank-one on every site.
+
+    Leaf i is outcome index[i] (flat, site 0's outcome most significant) of
+    the final-round measurements; its state is the product of their unit
+    columns times phases[i], the phase of its outcome amplitude.
+    """
+
+    prefix: tuple
+    measurements: tuple
+    index: np.ndarray
+    phases: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def _outcomes(self, rows) -> tuple:
+        shape = tuple(len(m.ops) for m in self.measurements)
+        return np.unravel_index(self.index[rows], shape)
+
+    def _history(self, outcome) -> tuple:
+        labels = tuple(m.ops[int(k)][0] for m, k in zip(self.measurements, outcome))
+        return self.prefix + (labels,)
+
+    def history(self, i: int) -> tuple:
+        return self._history(self._outcomes(i))
+
+    def all_histories(self) -> tuple:
+        return tuple(self._history(o) for o in zip(*self._outcomes(slice(None))))
+
+    def state(self, i: int) -> np.ndarray:
+        """Dense vector of leaf i, site 0 the fastest index."""
+        amps = self.phases[i : i + 1]
+        for m, k in zip(self.measurements, self._outcomes(i)):
+            amps = np.kron(m.rank_one[1][k], amps)
+        return amps
+
+    def residual_entropies(self, num_sites: int, local_dim: int) -> np.ndarray:
+        """Product states: every residual entropy is 0 by construction."""
+        return np.zeros(len(self))
+
+
+class _LeafView(SequenceABC):
+    """tree.leaves: BranchNode items built only when read."""
+
+    def __init__(self, tree: "BranchTree") -> None:
+        self._tree = tree
+
+    def __len__(self) -> int:
+        return len(self._tree.probabilities)
+
+    def __getitem__(self, i: int) -> BranchNode:
+        tree = self._tree
+        count = len(self)
+        if i < 0:
+            i += count
+        if not 0 <= i < count:
+            raise IndexError("leaf index out of range")
+        _check_budget(count * tree.input_state.dim, "building the leaf states")
+        b = bisect.bisect_right(tree.offsets, i) - 1
+        block, row = tree.blocks[b], i - tree.offsets[b]
+        state = tree.input_state
+        return BranchNode(
+            block.history(row),
+            float(tree.probabilities[i]),
+            PureState(state.num_sites, state.local_dim, block.state(row)),
+        )
+
+
+@dataclass(frozen=True)
 class BranchTree:
-    """Leaves of a fully executed protocol, plus any pruned probability mass."""
+    """Leaves of a fully executed protocol, plus any pruned probability mass.
+
+    probabilities[i] is leaf i's probability.  The leaves stay compact in
+    blocks: stacked dense vectors, or, for a final round that was rank-one
+    on every site, outcome indices and phases.  tree.leaves is a sequence
+    of BranchNode that builds a leaf's state when the item is read; len()
+    builds nothing.
+    """
 
     input_state: PureState
     num_rounds: int
-    leaves: tuple
+    probabilities: np.ndarray = field(repr=False)
     dropped_mass: float
+    blocks: tuple = field(repr=False)
+    offsets: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        starts = itertools.accumulate((len(b) for b in self.blocks), initial=0)
+        object.__setattr__(self, "offsets", tuple(starts)[:-1])
+
+    @property
+    def leaves(self) -> _LeafView:
+        return _LeafView(self)
+
+    def histories(self) -> tuple:
+        return tuple(h for b in self.blocks for h in b.all_histories())
 
     def outcome_distribution(self) -> dict:
-        return {leaf.history: leaf.probability for leaf in self.leaves}
+        return dict(zip(self.histories(), self.probabilities.tolist()))
 
     @property
     def total_probability(self) -> float:
-        return float(sum(leaf.probability for leaf in self.leaves))
+        return float(self.probabilities.sum())
 
 
 @dataclass(frozen=True)
@@ -180,6 +358,70 @@ def _round_measurements(protocol: Protocol, rnd: int, history: tuple) -> list:
     return meas
 
 
+def _split(plans: list, n: int, d: int, prune_below: float) -> tuple[list, float]:
+    """One round of Kraus splits, site by site, on every planned branch.
+
+    plans holds (history, vector, measurements); returns the children as
+    (history, unnormalized vector, probability) in outcome order, with
+    site 0's label most significant, and the pruned mass.
+    """
+    partial = [(history, (), vec, meas, 1.0) for history, vec, meas in plans]
+    dropped = 0.0
+    for site in range(n):
+        _check_budget(sum(len(p[3][site].ops) for p in partial) * d**n, "splitting the branches")
+        grown = []
+        for history, labels, vec, meas, _ in partial:
+            for label, kraus in meas[site].ops:
+                out = apply_kraus_vector(vec, n, d, site, kraus)
+                prob = float(np.vdot(out, out).real)
+                if prob == 0.0:
+                    continue
+                if prob < prune_below:
+                    dropped += prob
+                    continue
+                grown.append((history, labels + (label,), out, meas, prob))
+        partial = grown
+    return [(history + (labels,), vec, prob) for history, labels, vec, _, prob in partial], dropped
+
+
+def _collapse(history: tuple, vec: np.ndarray, meas: list, n: int, d: int, prune_below: float):
+    """A final round that is rank-one on every site, in O(N d^N).
+
+    Each site's rows rotate the branch vector into outcome amplitudes; the
+    Born probabilities are their squared moduli times the column weights.
+    Returns (leaves, probabilities, pruned mass).
+    """
+    counts = [len(m.ops) for m in meas]
+    _check_budget(math.prod(counts), "collapsing a rank-one round")
+    amps, right = vec, 1
+    for site, m in enumerate(meas):
+        rows = m.rank_one[0]
+        amps = np.einsum("kj,ajb->akb", rows, amps.reshape(d ** (n - site - 1), d, right))
+        right *= len(rows)
+    # Axes run from site N-1 to site 0; reversing them puts site 0 first.
+    amps = amps.reshape(counts[::-1]).transpose(range(n - 1, -1, -1)).ravel()
+    weights = np.ones(1)
+    for m in meas:
+        weights = np.multiply.outer(weights, m.rank_one[2]).ravel()
+    probs = np.abs(amps) ** 2 * weights
+    low = (probs > 0.0) & (probs < prune_below)
+    index = np.flatnonzero((probs > 0.0) & ~low)
+    kept = amps[index]
+    leaves = _ProductLeaves(history, tuple(meas), index, kept / np.abs(kept))
+    return leaves, probs[index], float(probs[low].sum())
+
+
+def _dense_leaves(children: list, dropped: float) -> tuple:
+    """Stack _split's children into normalized rows: (leaves, probabilities,
+    pruned mass), as _collapse returns them."""
+    probs = np.array([prob for _, _, prob in children])
+    if not children:
+        return None, probs, dropped
+    vectors = np.stack([vec for _, vec, _ in children])
+    vectors /= np.sqrt(probs)[:, np.newaxis]
+    return _DenseLeaves(tuple(h for h, _, _ in children), vectors), probs, dropped
+
+
 def execute(protocol: Protocol, state: PureState, prune_below: float = 0.0) -> BranchTree:
     """Expand the full branch tree of a protocol on a state.
 
@@ -187,40 +429,51 @@ def execute(protocol: Protocol, state: PureState, prune_below: float = 0.0) -> B
     probability is exactly zero is not an outcome and is silently removed,
     while branches below prune_below (at most 1e-12) are removed with their
     mass accounted in dropped_mass.  Leaf states are normalized.
+
+    A final round whose measurements are all rank-one (see
+    SiteMeasurement.rank_one) is not split: one rotation per site turns the
+    branch vector into the Born distribution, in O(N d^N) instead of
+    O(d^(2N)), and leaves whose probability is zero or below prune_below
+    are removed the same way.  Every other round splits dense vectors;
+    BranchBudgetError is raised before a split would exceed
+    BRANCH_BUDGET_BYTES.
     """
     if not 0.0 <= prune_below <= 1e-12:
         raise ValueError("prune_below must lie in [0, 1e-12]")
     if state.num_sites != protocol.num_sites or state.local_dim != protocol.local_dim:
         raise ValueError("state shape does not match protocol")
     n, d = state.num_sites, state.local_dim
-    branches: list[tuple[tuple, np.ndarray]] = [((), state.amplitudes)]
+    branches = [((), state.amplitudes, 1.0)]
     dropped = 0.0
-    for rnd in range(1, protocol.num_rounds + 1):
-        nxt: list[tuple[tuple, np.ndarray]] = []
-        for history, amps in branches:
-            meas = _round_measurements(protocol, rnd, history)
-            partial: list[tuple[tuple, np.ndarray]] = [((), amps)]
-            for site in range(n):
-                grown: list[tuple[tuple, np.ndarray]] = []
-                for labels, vec in partial:
-                    for label, kraus in meas[site].ops:
-                        out = apply_kraus_vector(vec, n, d, site, kraus)
-                        prob = float(np.vdot(out, out).real)
-                        if prob == 0.0:
-                            continue
-                        if prob < prune_below:
-                            dropped += prob
-                            continue
-                        grown.append((labels + (label,), out))
-                partial = grown
-            nxt.extend((history + (labels,), vec) for labels, vec in partial)
-        branches = nxt
-    leaves = []
-    for history, vec in branches:
-        prob = float(np.vdot(vec, vec).real)
-        leaves.append(BranchNode(history, prob, PureState(n, d, vec / np.sqrt(prob))))
+    for rnd in range(1, protocol.num_rounds):
+        plans = [(h, vec, _round_measurements(protocol, rnd, h)) for h, vec, _ in branches]
+        branches, lost = _split(plans, n, d, prune_below)
+        dropped += lost
+    final = protocol.num_rounds
+    plans = [(h, vec, _round_measurements(protocol, final, h)) for h, vec, _ in branches]
+
+    # Consecutive dense branches split together; rank-one ones collapse.
+    blocks, probs = [], []
+    for rank_one, group in itertools.groupby(
+        plans, key=lambda plan: all(m.rank_one is not None for m in plan[2])
+    ):
+        if rank_one:
+            parts = [_collapse(*plan, n, d, prune_below) for plan in group]
+        else:
+            parts = [_dense_leaves(*_split(list(group), n, d, prune_below))]
+        for leaves, p, lost in parts:
+            dropped += lost
+            if len(p):
+                blocks.append(leaves)
+                probs.append(p)
+    probabilities = np.concatenate(probs) if probs else np.zeros(0)
+    probabilities.flags.writeable = False
     return BranchTree(
-        input_state=state, num_rounds=protocol.num_rounds, leaves=tuple(leaves), dropped_mass=dropped
+        input_state=state,
+        num_rounds=protocol.num_rounds,
+        probabilities=probabilities,
+        dropped_mass=dropped,
+        blocks=tuple(blocks),
     )
 
 
@@ -231,21 +484,17 @@ def protocol_work(tree: BranchTree) -> ProtocolWork:
     """
     if tree.dropped_mass > 1e-9:
         raise ValueError(f"tree dropped {tree.dropped_mass} probability; too lossy to score")
-    state = tree.input_state
-    n, d = state.num_sites, state.local_dim
-    entropy = shannon_entropy(tree.outcome_distribution())
-    residual = 0.0
-    for leaf in tree.leaves:
-        site_sum = sum(
-            von_neumann_entropy(reduced_density(leaf.state, [site])) for site in range(n)
-        )
-        residual += leaf.probability * site_sum
-    local_term = n * float(np.log(d)) - residual
+    n, d = tree.input_state.num_sites, tree.input_state.local_dim
+    entropy = shannon_entropy(tree.probabilities)
+    residual = np.concatenate(
+        [b.residual_entropies(n, d) for b in tree.blocks] or [np.zeros(0)]
+    )
+    local_term = n * float(np.log(d)) - float(tree.probabilities @ residual)
     return ProtocolWork(
         w_lambda=local_term - entropy,
         local_term=local_term,
         outcome_entropy=entropy,
-        leaf_count=len(tree.leaves),
+        leaf_count=len(tree.probabilities),
     )
 
 
@@ -254,6 +503,15 @@ def _phase_fixed(v: np.ndarray) -> np.ndarray:
     if abs(v[idx]) == 0.0:
         return v
     return v * (abs(v[idx]) / v[idx])
+
+
+def _eigenbasis(vals: np.ndarray, vecs: np.ndarray) -> SiteMeasurement:
+    """Projectors onto the eigenvectors of one marginal, largest first."""
+    ops = []
+    for rank, idx in enumerate(np.argsort(-vals, kind="stable")):
+        v = _phase_fixed(vecs[:, idx])
+        ops.append((f"e{rank}", np.outer(v, v.conj())))
+    return SiteMeasurement(tuple(ops))
 
 
 def refine_rank_one(protocol: Protocol, state: PureState) -> Protocol:
@@ -265,22 +523,30 @@ def refine_rank_one(protocol: Protocol, state: PureState) -> Protocol:
     the work figure never decreases.  The eigenbases depend on the input
     state, so the refined protocol is specific to it; executing it on other
     states raises on unseen histories.
+
+    A leaf of a collapsed final round is a product of the unit columns of
+    its outcomes, so its site eigenbases follow from its labels alone.  They
+    are looked up by label for every outcome of that round, including those
+    of probability exactly 0: the refined protocol splits the round densely,
+    and may reach such an outcome at rounding level (about 1e-33).
     """
     tree = execute(protocol, state)
-    n = protocol.num_sites
-    eigenbases: dict = {}
-    for leaf in tree.leaves:
-        per_site = []
-        for site in range(n):
-            rho = reduced_density(leaf.state, [site]).matrix
-            vals, vecs = np.linalg.eigh(rho)
-            order = np.argsort(-vals, kind="stable")
-            ops = []
-            for rank, idx in enumerate(order):
-                v = _phase_fixed(vecs[:, idx])
-                ops.append((f"e{rank}", np.outer(v, v.conj())))
-            per_site.append(SiteMeasurement(tuple(ops)))
-        eigenbases[leaf.history] = per_site
+    n, d = protocol.num_sites, protocol.local_dim
+    by_history: dict = {}
+    by_prefix: dict = {}
+    for block in tree.blocks:
+        if isinstance(block, _DenseLeaves):
+            vals, vecs = np.linalg.eigh(site_marginals(block.vectors, n, d))
+            for history, leaf_vals, leaf_vecs in zip(block.histories, vals, vecs):
+                by_history[history] = [_eigenbasis(w, v) for w, v in zip(leaf_vals, leaf_vecs)]
+        else:
+            per_site = []
+            for m in block.measurements:
+                units = m.rank_one[1]
+                vals, vecs = np.linalg.eigh(np.einsum("ki,kj->kij", units, units.conj()))
+                bases = [_eigenbasis(w, v) for w, v in zip(vals, vecs)]
+                per_site.append({label: basis for (label, _), basis in zip(m.ops, bases)})
+            by_prefix[block.prefix] = per_site
 
     base_strategy = protocol.strategy
     base_rounds = protocol.num_rounds
@@ -288,7 +554,10 @@ def refine_rank_one(protocol: Protocol, state: PureState) -> Protocol:
     def strategy(rnd: int, history: tuple) -> list:
         if rnd <= base_rounds:
             return base_strategy(rnd, history)
-        return eigenbases[history]
+        if history in by_history:
+            return by_history[history]
+        per_site = by_prefix[history[:-1]]
+        return [bases[label] for bases, label in zip(per_site, history[-1])]
 
     return Protocol(
         num_sites=n,

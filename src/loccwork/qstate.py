@@ -163,25 +163,60 @@ def reduced_density(state: PureState, keep: SiteSubset | Iterable[int]) -> Densi
     return DensityOperator(mat @ mat.conj().T)
 
 
+def site_marginals(vectors: np.ndarray, num_sites: int, local_dim: int) -> np.ndarray:
+    """Single-site marginals of a stack of state vectors.
+
+    vectors has shape (L, d**N); the result has shape (L, N, d, d), entry
+    [l, n] being the partial trace of |v_l><v_l| onto site n.  This is the
+    batched kernel behind w_local and protocol scoring, so it validates
+    nothing; reduced_density is the checked single-state entry point.
+    """
+    n, d = num_sites, local_dim
+    count = vectors.shape[0]
+    conj = vectors.conj()
+    out = np.empty((count, n, d, d), dtype=complex)
+    for site in range(n):
+        shape = (count, d ** (n - site - 1), d, d**site)
+        t, tc = vectors.reshape(shape), conj.reshape(shape)
+        for i in range(d):
+            for j in range(i + 1):
+                entry = np.einsum("lab,lab->l", t[:, :, i], tc[:, :, j])
+                if i == j:
+                    entry = entry.real
+                out[:, site, i, j] = entry
+                out[:, site, j, i] = entry.conj()
+    return out
+
+
+def _entropy(values: np.ndarray) -> np.ndarray:
+    """-sum(v ln v) over the last axis in nats; entries <= 1e-12 contribute 0
+    and each result is clamped at 0."""
+    kept = np.where(values > EIG_CLAMP, values, 1.0)
+    return np.maximum(-(kept * np.log(kept)).sum(axis=-1), 0.0)
+
+
+def site_entropies(marginals: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in nats of a stack of density matrices
+    (..., d, d), through one batched eigvalsh; no validation."""
+    return _entropy(np.linalg.eigvalsh(marginals))
+
+
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """Entropy -sum(lam ln lam) in nats; eigenvalues <= 1e-12 contribute 0."""
-    eigs = rho.eigenvalues()
-    eigs = eigs[eigs > EIG_CLAMP]
-    value = float(-(eigs * np.log(eigs)).sum())
-    return max(value, 0.0)
+    return float(_entropy(rho.eigenvalues()))
 
 
-def shannon_entropy(dist: dict) -> float:
-    """Shannon entropy in nats of a label -> probability map."""
-    probs = np.asarray(list(dist.values()), dtype=float)
+def shannon_entropy(dist: dict | np.ndarray) -> float:
+    """Shannon entropy in nats of a label -> probability map, or of an array
+    of probabilities."""
+    values = list(dist.values()) if isinstance(dist, dict) else dist
+    probs = np.asarray(values, dtype=float)
     if probs.size and probs.min() < 0.0:
         raise ValueError(f"negative probability {probs.min()}")
     total = probs.sum()
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"probabilities sum to {total}, not 1 within 1e-9")
-    probs = probs[probs > EIG_CLAMP]
-    value = float(-(probs * np.log(probs)).sum())
-    return max(value, 0.0)
+    return float(_entropy(probs))
 
 
 def overlap(a: PureState, b: PureState) -> complex:

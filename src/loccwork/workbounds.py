@@ -23,7 +23,8 @@ from .qstate import (
     SiteSubset,
     _as_sites,
     _matricize,
-    reduced_density,
+    site_entropies,
+    site_marginals,
     von_neumann_entropy,
 )
 
@@ -114,12 +115,8 @@ def w_global(x: PureState | DensityOperator) -> float:
 
 def w_local(state: PureState) -> float:
     """sum_n (ln d - S(rho_n)): work available without any communication."""
-    total = 0.0
-    for site in range(state.num_sites):
-        total += np.log(state.local_dim) - von_neumann_entropy(
-            reduced_density(state, [site])
-        )
-    return float(total)
+    marginals = site_marginals(state.amplitudes[np.newaxis], state.num_sites, state.local_dim)
+    return float((np.log(state.local_dim) - site_entropies(marginals[0])).sum())
 
 
 def _fix_phases(factors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -136,7 +133,8 @@ def _sweep(tensor: np.ndarray, factors: list[np.ndarray]) -> float:
     """One in-place alternating pass over all sites; returns the overlap.
 
     Each site update is the exact maximizer given the others, so the overlap
-    can only grow; that is asserted as the pass runs.
+    can only grow; the pass raises RuntimeError if it ever falls by more
+    than 1e-9.
     """
     n = tensor.ndim
     suffix = [None] * n
@@ -151,7 +149,8 @@ def _sweep(tensor: np.ndarray, factors: list[np.ndarray]) -> float:
         norm = float(np.linalg.norm(env))
         if norm > 0.0:
             factors[k] = env / norm
-        assert prev is None or norm >= prev - 1e-9, "alternating overlap decreased"
+        if prev is not None and norm < prev - 1e-9:
+            raise RuntimeError(f"alternating overlap decreased from {prev} to {norm}")
         prev = norm
     return prev
 
@@ -252,6 +251,10 @@ def eg_bruteforce(state: PureState, grid_points_per_axis: int = 24) -> EgEstimat
     grid on those sites.  The best candidate is then refined by 50
     alternating sweeps.  With grid >= 24 the basin resolution is fine enough
     to certify; coarser grids are reported as heuristic.
+
+    For N >= 2 the grid start is then compared with an 8-restart
+    eg_alternating run, so restarts_used is 9 (the grid start plus those 8
+    restarts); for N = 1 it is 1.
     """
     if state.local_dim != 2:
         raise ValueError("bruteforce search is qubit-only")
@@ -296,15 +299,20 @@ def eg_bruteforce(state: PureState, grid_points_per_axis: int = 24) -> EgEstimat
     # degenerate; random-start alternating does not.  Keeping the better of
     # the two only moves the estimate toward the true maximum, so the grid
     # certification still stands.
+    restarts_used = 1
     if n >= 2:
         alt = eg_alternating(state, restarts=8, rng_seed=0)
+        restarts_used += alt.restarts_used
         p_alt = math.exp(-alt.value)
         if p_alt > p:
             p, maximizer = p_alt, alt.maximizer
 
     cert = CERT_BRUTEFORCE if grid_points_per_axis >= 24 else CERT_HEURISTIC
     return EgEstimate(
-        value=float(-np.log(p)), maximizer=maximizer, certification=cert, restarts_used=1
+        value=float(-np.log(p)),
+        maximizer=maximizer,
+        certification=cert,
+        restarts_used=restarts_used,
     )
 
 

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from loccwork import graphs, lab
+import loccwork
+from loccwork import graphs, lab, locc
 from loccwork.cli import cli_main
 
 LN2 = 0.6931471805599453
@@ -13,6 +18,28 @@ def run(capsys, *argv):
     code = cli_main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# Address-space cap for CLI calls on large states, set before numpy loads
+# (numpy and OpenBLAS reserve address space at import).  A branch tree that
+# outgrows it fails the test with a MemoryError instead of exhausting the
+# machine's memory.
+MEMORY_CAP_BYTES = 3 << 30
+
+
+def run_capped(*argv):
+    """cli_main(argv) in a subprocess capped at MEMORY_CAP_BYTES."""
+    src = str(Path(loccwork.__file__).resolve().parents[1])
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({MEMORY_CAP_BYTES}, {MEMORY_CAP_BYTES}))\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "from loccwork.cli import cli_main\n"
+        f"sys.exit(cli_main({list(argv)!r}))\n"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=300, env=env)
 
 
 def parse_kv(out):
@@ -160,6 +187,38 @@ class TestProtocol:
         path = self.write_protocol(tmp_path, "sites 2\nround Z Z\n")
         assert run(capsys, "protocol", "--file", path, "--state", "ghz", "--n", "2",
                    "--prune", "0.5")[0] == 1
+
+
+class TestLargeStates:
+    def test_haar_16_work_fits_memory_cap(self):
+        # Its computational and refined-null rounds have 2^16 leaves of 2^16
+        # amplitudes: 64 GiB as dense vectors, a few MiB collapsed.
+        result = run_capped("work", "--state", "haar", "--n", "16", "--seed", "1",
+                            "--eg-method", "none")
+        assert result.returncode == 0, result.stderr
+        kv = parse_kv(result.stdout)
+        assert kv["sites"] == "16"
+        assert float(kv["w_locc_lower"]) >= float(kv["w_local"]) - 1e-9
+        assert float(kv["w_locc_lower"]) <= 16 * LN2
+
+    def test_weak_tree_over_budget_exits_one(self, capsys, tmp_path, monkeypatch):
+        hi, lo = math.sqrt(0.8), math.sqrt(0.2)
+        path = tmp_path / "weak.txt"
+        path.write_text(
+            f"sites 10\nmeasurement WEAK\nop w0 {hi!r} 0 0 0 0 0 {lo!r} 0\n"
+            f"op w1 {lo!r} 0 0 0 0 0 {hi!r} 0\nend\nround" + " WEAK" * 10 + "\n"
+        )
+        argv = ("protocol", "--file", str(path), "--state", "haar", "--n", "10", "--seed", "1")
+        # 2^10 leaves of 2^10 amplitudes need 16 MiB.
+        monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", 1 << 20)
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert "usage error" in err and "branch budget" in err
+        monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", 1 << 24)
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert parse_kv(out)["leaves"] == "1024"
 
 
 class TestGraphGen:

@@ -4,8 +4,14 @@ The Schmidt oracle here reshapes by explicit index arithmetic and calls the
 SVD directly, independent of the package's matricization helper.
 """
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import loccwork
 
 from loccwork.ensembles import ghz_state, graph_state, plus_state, w_state, zero_state
 from loccwork.graphs import gen_lattice
@@ -250,3 +256,36 @@ def test_eg_estimate_rejects_bad_fields():
         EgEstimate(value=-0.5, maximizer=p, certification=CERT_HEURISTIC, restarts_used=1)
     with pytest.raises(ValueError):
         EgEstimate(value=0.1, maximizer=p, certification="magic", restarts_used=1)
+
+
+def test_eg_bruteforce_reports_restarts_it_ran():
+    # Grid start plus the 8-restart alternating fallback for N >= 2.
+    assert eg_bruteforce(plus_state(1)).restarts_used == 1
+    for n in (2, 3):
+        assert eg_bruteforce(ghz_state(n), grid_points_per_axis=8).restarts_used == 9
+
+
+# A factor of norm 10 on site 1 inflates the first site update tenfold; the
+# second update, against a unit factor, cannot keep up.
+DECREASING_SWEEP = """
+import numpy as np
+from loccwork.ensembles import zero_state
+from loccwork.workbounds import _site_tensor, _sweep
+factors = [np.array([1.0, 0.0], dtype=complex), np.array([10.0, 0.0], dtype=complex)]
+_sweep(_site_tensor(zero_state(2)), factors)
+"""
+
+
+def test_sweep_raises_when_overlap_decreases():
+    with pytest.raises(RuntimeError, match="decreased"):
+        exec(DECREASING_SWEEP, {})
+
+
+def test_sweep_check_survives_optimized_mode():
+    src = str(Path(loccwork.__file__).resolve().parents[1])
+    script = f"import sys\nsys.path.insert(0, {src!r})\nassert False\n" + DECREASING_SWEEP
+    result = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                            text=True, timeout=120)
+    # "assert False" passing shows -O is on; the sweep must still raise.
+    assert result.returncode == 1
+    assert "RuntimeError: alternating overlap decreased" in result.stderr
