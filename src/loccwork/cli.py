@@ -72,37 +72,19 @@ def _state_sites(args) -> int:
     return args.n
 
 
-def _build_state(args):
+def _resolve_state(args):
     """Returns (state, graph_or_None); call _state_sites first for caps."""
-    kind = args.state
-    d = args.local_dim
-    if kind == "graph":
+    if args.state in ("graph", "subset") and args.local_dim != 2:
+        raise UsageError(f"{args.state} states are qubit states")
+    if args.state == "graph":
         g = graphs.load_graph(args.graph_file)
-        if d != 2:
-            raise UsageError("graph states are qubit states")
         return ensembles.graph_state(g), g
-    if kind == "subset":
-        if d != 2:
-            raise UsageError("subset states are qubit states")
+    if args.state == "subset":
         return ensembles.subset_state(ensembles.load_subset_spec(args.support_file)), None
-    n = args.n
-    if kind == "ghz":
-        return ensembles.ghz_state(n, d), None
-    if kind == "zero":
-        return ensembles.zero_state(n, d), None
-    if kind == "w":
-        if d != 2:
-            raise UsageError("the w family is a qubit family")
-        return ensembles.w_state(n), None
-    if kind == "plus":
-        if d != 2:
-            raise UsageError("the plus family is a qubit family")
-        return ensembles.plus_state(n), None
-    if kind == "haar":
-        if args.seed is None:
-            raise UsageError("--state haar requires --seed")
-        return ensembles.sample_haar(n, d, args.seed), None
-    raise UsageError(f"unknown state {kind!r}")
+    try:
+        return lab.build_state(args.state, args.n, seed=args.seed, local_dim=args.local_dim)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _check_site_cap(num_sites: int, local_dim: int) -> None:
@@ -129,14 +111,14 @@ def _cmd_work(args) -> int:
     if args.eg_method != "none":
         _check_eg_method(args.eg_method, n, args.local_dim)
     _check_site_cap(n, args.local_dim)
-    state, graph = _build_state(args)
+    state, graph = _resolve_state(args)
     report = lab.work_report(
         state,
+        graph,
         eg_method=None if args.eg_method == "none" else args.eg_method,
         restarts=args.restarts,
         grid=args.grid,
         rng_seed=args.seed if args.seed is not None else 0,
-        graph=graph,
     )
     print(f"sites {state.num_sites}")
     print(f"w_global {report.w_global!r}")
@@ -154,7 +136,7 @@ def _cmd_eg(args) -> int:
     n = _state_sites(args)
     _check_eg_method(args.method, n, args.local_dim)
     _check_site_cap(n, args.local_dim)
-    state, _ = _build_state(args)
+    state, _ = _resolve_state(args)
     if args.method == "schmidt":
         cut = tuple(_parse_int_list(args.cut))
         value = workbounds.eg_schmidt(state, cut)
@@ -162,14 +144,13 @@ def _cmd_eg(args) -> int:
         print(f"eg_value {value!r}")
         print(f"eg_cert {cert}")
         return 0
-    if args.method == "bruteforce":
-        est = workbounds.eg_bruteforce(state, grid_points_per_axis=args.grid)
-    else:
-        est = workbounds.eg_alternating(
-            state,
-            restarts=args.restarts,
-            rng_seed=args.seed if args.seed is not None else 0,
-        )
+    est = lab.eg_estimate(
+        state,
+        args.method,
+        restarts=args.restarts,
+        grid=args.grid,
+        rng_seed=args.seed if args.seed is not None else 0,
+    )
     print(f"eg_value {est.value!r}")
     print(f"eg_cert {est.certification}")
     print(f"restarts_used {est.restarts_used}")
@@ -180,7 +161,7 @@ def _cmd_protocol(args) -> int:
     n = _state_sites(args)
     _check_site_cap(n, args.local_dim)
     protocol = locc.load_protocol(args.file)
-    state, _ = _build_state(args)
+    state, _ = _resolve_state(args)
     if protocol.num_sites != state.num_sites:
         raise UsageError(
             f"protocol acts on {protocol.num_sites} sites but the state has {state.num_sites}"
@@ -200,6 +181,12 @@ def _cmd_protocol(args) -> int:
 
 def _cmd_scaling(args) -> int:
     cfg = lab.load_config(args.config)
+    # n_values ascend, so the last one is the largest; check it before any row.
+    # Only haar and circuit states read local_dim; the others are qubit states.
+    d = cfg.local_dim if cfg.ensemble_kind in ("haar", "circuit") else 2
+    _check_site_cap(cfg.n_values[-1], d)
+    if cfg.eg_method is not None:
+        _check_eg_method(cfg.eg_method, cfg.n_values[-1], d)
     rows = lab.run_scaling(cfg)
     if cfg.output:
         print(f"wrote {len(rows)} rows to {cfg.output}")
@@ -240,10 +227,7 @@ def _cmd_tail(args) -> int:
     else:
         print(lab.TAIL_CSV_HEADER)
         for r in rows:
-            print(
-                f"{r.alpha!r},{r.threshold!r},{r.exceed_count},{r.samples},"
-                f"{r.empirical!r},{r.bound!r},{r.wilson_low!r},{r.wilson_high!r}"
-            )
+            print(lab.row_to_csv(r))
     return 0
 
 

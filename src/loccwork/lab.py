@@ -5,21 +5,21 @@ Reproducibility contract: every row draws its state from a seed derived as
     row_seed = base_seed XOR crc32("{N}:{sample_index}")
 
 so the same config file always produces the same numbers (wall_ms aside),
-regardless of execution order or thread count.  The LOCCWORK_THREADS
-environment variable sets the worker count for scaling runs (default 1);
-rows are emitted in (N, sample) order either way.
+regardless of execution order.  Rows are emitted in (N, sample) order.
+
+build_state turns a family name and its parameters into a state, and
+work_report evaluates one state; the CLI and the scaling harness both go
+through these two functions.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import re
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -123,8 +123,8 @@ class ExperimentConfig:
         protos = tuple(dict.fromkeys(("null",) + tuple(self.protocols)))
         object.__setattr__(self, "protocols", protos)
 
-    def resolve_k(self, num_sites: int) -> int:
-        if isinstance(self.subset_k, int):
+    def resolve_k(self, num_sites: int) -> int | None:
+        if self.subset_k is None or isinstance(self.subset_k, int):
             return self.subset_k
         divisor = int(_SUBSET_K_RULE.match(self.subset_k).group(1))
         return 2 ** (num_sites // divisor)
@@ -163,6 +163,20 @@ def load_config(path: str | Path) -> ExperimentConfig:
     )
 
 
+def _check_figures(row) -> None:
+    """The checks every ResultRow and WorkReport runs: float fields are finite
+    and w_local - 1e-9 <= w_locc_lower <= w_global + 1e-8 (None skips a side)."""
+    for f in fields(row):
+        v = getattr(row, f.name)
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{f.name} is not finite: {v}")
+    if row.w_local is not None and row.w_locc_lower is not None:
+        if row.w_locc_lower < row.w_local - 1e-9:
+            raise ValueError("lower bound fell below the local figure")
+    if row.w_locc_lower is not None and row.w_locc_lower > row.w_global + 1e-8:
+        raise ValueError("lower bound exceeds the global budget")
+
+
 @dataclass(frozen=True)
 class ResultRow:
     """One (ensemble, N, sample) evaluation; None marks a disabled estimator."""
@@ -181,37 +195,57 @@ class ResultRow:
     wall_ms: float
 
     def __post_init__(self) -> None:
-        for name in ("w_global", "w_local", "eg_value", "w_locc_upper", "w_locc_lower", "wall_ms"):
-            v = getattr(self, name)
-            if v is not None and not math.isfinite(v):
-                raise ValueError(f"{name} is not finite: {v}")
-        if self.w_local is not None and self.w_locc_lower is not None:
-            if self.w_locc_lower < self.w_local - 1e-9:
-                raise ValueError("lower bound fell below the local figure")
-        if self.w_locc_lower is not None and self.w_locc_lower > self.w_global + 1e-8:
-            raise ValueError("lower bound exceeds the global budget")
+        _check_figures(self)
 
 
-def _draw_state(cfg: ExperimentConfig, num_sites: int, seed: int):
-    """Returns (state, graph_or_None) for one row."""
-    kind = cfg.ensemble_kind
+def build_state(
+    kind: str,
+    num_sites: int,
+    *,
+    seed: int | None = None,
+    local_dim: int = 2,
+    depth: int | None = None,
+    rows: int | None = None,
+    k: int | None = None,
+):
+    """Returns (state, graph_or_None) for one generated state family.
+
+    Named families: ghz, zero (any local_dim), w, plus (qubits only).
+    Sampled families, which need a seed: haar, circuit (depth brickwork
+    layers), subset (k random bitstrings) and random_graph.  Lattice graph
+    states: cycle, and square_torus, triangular_torus and hexagonal with
+    `rows` rows.  Graph and subset states are qubit states and ignore
+    local_dim.  A bad spec raises ValueError.
+    """
+    if seed is None and kind in ("haar", "circuit", "subset", "random_graph"):
+        raise ValueError(f"{kind} states need a seed")
+    if local_dim != 2 and kind in ("w", "plus"):
+        raise ValueError(f"the {kind} family is a qubit family")
+    if kind == "ghz":
+        return ensembles.ghz_state(num_sites, local_dim), None
+    if kind == "zero":
+        return ensembles.zero_state(num_sites, local_dim), None
+    if kind == "w":
+        return ensembles.w_state(num_sites), None
+    if kind == "plus":
+        return ensembles.plus_state(num_sites), None
     if kind == "haar":
-        return ensembles.sample_haar(num_sites, cfg.local_dim, seed), None
+        return ensembles.sample_haar(num_sites, local_dim, seed), None
     if kind == "circuit":
-        spec = ensembles.CircuitSpec(num_sites, cfg.depth, seed, cfg.local_dim)
+        spec = ensembles.CircuitSpec(num_sites, depth, seed, local_dim)
         return ensembles.sample_circuit(spec), None
     if kind == "subset":
-        spec = ensembles.sample_subset(num_sites, cfg.resolve_k(num_sites), seed)
-        return ensembles.subset_state(spec), None
+        return ensembles.subset_state(ensembles.sample_subset(num_sites, k, seed)), None
     if kind == "cycle":
         g = graphs.gen_lattice("cycle", (num_sites,))
     elif kind == "random_graph":
         g = graphs.gen_random_graph(num_sites, seed)
-    else:
-        rows = cfg.rows
+    elif kind in GRAPH_KINDS:
         if num_sites % rows:
             raise ValueError(f"N={num_sites} not divisible by rows={rows}")
         g = graphs.gen_lattice(kind, (rows, num_sites // rows))
+    else:
+        raise ValueError(f"unknown state family {kind!r}")
     return ensembles.graph_state(g), g
 
 
@@ -233,60 +267,44 @@ def _build_menu(names, state: PureState, graph) -> list:
     return menu
 
 
-def _evaluate_row(cfg: ExperimentConfig, num_sites: int, sample: int) -> ResultRow:
-    seed = derive_row_seed(cfg.seed, num_sites, sample)
-    t0 = time.perf_counter()
-    state, graph = _draw_state(cfg, num_sites, seed)
-    w_g = workbounds.w_global(state)
-    w_l = workbounds.w_local(state) if cfg.w_local else None
-    eg_value, eg_cert, upper = None, "", None
-    if cfg.eg_method == "alternating":
-        est = workbounds.eg_alternating(state, restarts=cfg.eg_restarts, rng_seed=seed)
-        upper, eg_cert = workbounds.w_locc_upper(state, est)
-        eg_value = est.value
-    elif cfg.eg_method == "bruteforce":
-        est = workbounds.eg_bruteforce(state, grid_points_per_axis=cfg.eg_grid)
-        upper, eg_cert = workbounds.w_locc_upper(state, est)
-        eg_value = est.value
-    menu = _build_menu(cfg.protocols, state, graph)
-    lower, best_name = locc.best_lower_bound(state, menu)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    return ResultRow(
-        ensemble=cfg.ensemble_kind,
-        n=num_sites,
-        sample=sample,
-        seed=seed,
-        w_global=w_g,
-        w_local=w_l,
-        eg_value=eg_value,
-        eg_cert=eg_cert,
-        w_locc_upper=upper,
-        w_locc_lower=lower,
-        best_protocol=best_name,
-        wall_ms=wall_ms,
-    )
-
-
 def run_scaling(cfg: ExperimentConfig) -> list:
-    """Evaluate all (N, sample) rows; stream them to cfg.output as CSV."""
-    tasks = [(n, i) for n in cfg.n_values for i in range(cfg.samples)]
-    workers = int(os.environ.get("LOCCWORK_THREADS", "1"))
+    """Evaluate all (N, sample) rows in order; stream them to cfg.output as CSV."""
     rows = []
     sink = open(cfg.output, "w") if cfg.output else None
     try:
         if sink:
             sink.write(CSV_HEADER + "\n")
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                row_iter = pool.map(lambda t: _evaluate_row(cfg, *t), tasks)
-                for row in row_iter:
-                    rows.append(row)
-                    if sink:
-                        sink.write(row_to_csv(row) + "\n")
-                        sink.flush()
-        else:
-            for t in tasks:
-                row = _evaluate_row(cfg, *t)
+        for n in cfg.n_values:
+            for sample in range(cfg.samples):
+                seed = derive_row_seed(cfg.seed, n, sample)
+                t0 = time.perf_counter()
+                state, graph = build_state(
+                    cfg.ensemble_kind,
+                    n,
+                    seed=seed,
+                    local_dim=cfg.local_dim,
+                    depth=cfg.depth,
+                    rows=cfg.rows,
+                    k=cfg.resolve_k(n),
+                )
+                report = work_report(
+                    state,
+                    graph,
+                    eg_method=cfg.eg_method,
+                    restarts=cfg.eg_restarts,
+                    grid=cfg.eg_grid,
+                    rng_seed=seed,
+                    protocols=cfg.protocols,
+                    w_local=cfg.w_local,
+                )
+                row = ResultRow(
+                    ensemble=cfg.ensemble_kind,
+                    n=n,
+                    sample=sample,
+                    seed=seed,
+                    wall_ms=(time.perf_counter() - t0) * 1000.0,
+                    **asdict(report),
+                )
                 rows.append(row)
                 if sink:
                     sink.write(row_to_csv(row) + "\n")
@@ -330,14 +348,21 @@ def run_tail(
         raise ValueError("tail estimates need at least 1000 samples")
     dim = 2**num_sites
     if ensemble_kind == "haar":
+        # Blocks of 20 000 rows, real parts drawn before imaginary parts, fix
+        # the RNG stream; chunks of at most 2^21 numbers keep memory flat in D.
         overlaps = np.empty(samples)
         rng = np.random.default_rng(seed)
-        done = 0
-        while done < samples:
-            m = min(20_000, samples - done)
-            block = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
-            overlaps[done : done + m] = np.abs(block[:, 0]) ** 2 / (np.abs(block) ** 2).sum(axis=1)
-            done += m
+        chunk = max(1, 2**21 // dim)
+        for start in range(0, samples, 20_000):
+            m = min(20_000, samples - start)
+            first = np.zeros(m)
+            total = np.zeros(m)
+            for _part in ("real", "imag"):
+                for lo in range(0, m, chunk):
+                    x = rng.standard_normal((min(chunk, m - lo), dim))
+                    first[lo : lo + len(x)] += x[:, 0] ** 2
+                    total[lo : lo + len(x)] += (x**2).sum(axis=1)
+            overlaps[start : start + m] = first / total
     elif ensemble_kind == "circuit":
         if depth is None:
             raise ValueError("circuit tail needs a depth")
@@ -379,44 +404,60 @@ def run_tail(
 
 @dataclass(frozen=True)
 class WorkReport:
-    """All figures for a single state, in nats."""
+    """All figures for a single state, in nats; None marks a disabled estimator."""
 
     w_global: float
-    w_local: float
+    w_local: float | None
     eg_value: float | None
     eg_cert: str
     w_locc_upper: float | None
     w_locc_lower: float
     best_protocol: str
 
+    def __post_init__(self) -> None:
+        _check_figures(self)
+
+
+def eg_estimate(
+    state: PureState, method: str, *, restarts: int, grid: int, rng_seed: int
+) -> workbounds.EgEstimate:
+    """Exponent estimate by the "alternating" or the "bruteforce" search."""
+    if method == "alternating":
+        return workbounds.eg_alternating(state, restarts=restarts, rng_seed=rng_seed)
+    if method == "bruteforce":
+        return workbounds.eg_bruteforce(state, grid_points_per_axis=grid)
+    raise ValueError(f"unknown eg method {method!r}")
+
 
 def work_report(
     state: PureState,
+    graph=None,
+    *,
     eg_method: str | None = "alternating",
     restarts: int = 32,
     grid: int = 24,
     rng_seed: int = 0,
-    graph=None,
+    protocols=None,
+    w_local: bool = True,
 ) -> WorkReport:
     """Single-state bundle: both functionals, the exponent estimate with its
-    ceiling, and the best protocol lower bound from the standard menu."""
+    ceiling, and the best protocol lower bound over a menu.
+
+    `protocols` names the menu in order; ties go to the earliest.  None is
+    the standard menu: null, computational, independent-set (only with a
+    graph) and refined-null.  eg_method None skips the estimate and
+    w_local False skips the local figure; both leave None.
+    """
+    if protocols is None:
+        protocols = [p for p in PROTOCOL_NAMES if graph is not None or p != "independent-set"]
     w_g = workbounds.w_global(state)
-    w_l = workbounds.w_local(state)
+    w_l = workbounds.w_local(state) if w_local else None
     eg_value, eg_cert, upper = None, "", None
-    if eg_method == "alternating":
-        est = workbounds.eg_alternating(state, restarts=restarts, rng_seed=rng_seed)
+    if eg_method is not None:
+        est = eg_estimate(state, eg_method, restarts=restarts, grid=grid, rng_seed=rng_seed)
         upper, eg_cert = workbounds.w_locc_upper(state, est)
         eg_value = est.value
-    elif eg_method == "bruteforce":
-        est = workbounds.eg_bruteforce(state, grid_points_per_axis=grid)
-        upper, eg_cert = workbounds.w_locc_upper(state, est)
-        eg_value = est.value
-    elif eg_method is not None:
-        raise ValueError(f"unknown eg method {eg_method!r}")
-    names = ["null", "computational", "refined-null"]
-    if graph is not None:
-        names.insert(2, "independent-set")
-    menu = _build_menu(names, state, graph)
+    menu = _build_menu(protocols, state, graph)
     lower, best_name = locc.best_lower_bound(state, menu)
     return WorkReport(
         w_global=w_g,
@@ -437,24 +478,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def row_to_csv(row: ResultRow) -> str:
-    return ",".join(
-        _fmt(v)
-        for v in (
-            row.ensemble,
-            row.n,
-            row.sample,
-            row.seed,
-            row.w_global,
-            row.w_local,
-            row.eg_value,
-            row.eg_cert,
-            row.w_locc_upper,
-            row.w_locc_lower,
-            row.best_protocol,
-            row.wall_ms,
-        )
-    )
+def row_to_csv(row) -> str:
+    """A ResultRow or a TailRow as one CSV line.  Both declare their fields
+    in the order of their header's columns."""
+    return ",".join(_fmt(v) for v in astuple(row))
 
 
 def emit_report(rows, path: str | Path, fmt: str = "csv") -> None:
@@ -510,21 +537,5 @@ def read_report(path: str | Path, fmt: str | None = None) -> list:
 
 
 def tail_to_csv(rows, path: str | Path) -> None:
-    lines = [TAIL_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    r.alpha,
-                    r.threshold,
-                    r.exceed_count,
-                    r.samples,
-                    r.empirical,
-                    r.bound,
-                    r.wilson_low,
-                    r.wilson_high,
-                )
-            )
-        )
+    lines = [TAIL_CSV_HEADER] + [row_to_csv(r) for r in rows]
     Path(path).write_text("\n".join(lines) + "\n")

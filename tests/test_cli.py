@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import loccwork
-from loccwork import graphs, lab, locc
+from loccwork import ensembles, graphs, lab, locc
 from loccwork.cli import cli_main
 
 LN2 = 0.6931471805599453
@@ -102,6 +102,18 @@ class TestWork:
 
     def test_haar_needs_seed(self, capsys):
         assert run(capsys, "work", "--state", "haar", "--n", "3")[0] == 1
+
+    @pytest.mark.parametrize("state", ["w", "plus", "graph", "subset"])
+    def test_qubit_families_reject_qutrits(self, capsys, tmp_path, state):
+        gfile = tmp_path / "c4.graph"
+        graphs.save_graph(graphs.gen_lattice("cycle", (4,)), gfile)
+        sfile = tmp_path / "s4.support"
+        ensembles.save_subset_spec(ensembles.sample_subset(4, 2, 0), sfile)
+        extra = {"graph": ["--graph-file", str(gfile)],
+                 "subset": ["--support-file", str(sfile)]}.get(state, ["--n", "4"])
+        code, out, err = run(capsys, "work", "--state", state, *extra, "--local-dim", "3")
+        assert code == 1
+        assert out == "" and "qubit" in err
 
     def test_named_state_needs_n(self, capsys):
         assert run(capsys, "work", "--state", "ghz")[0] == 1
@@ -201,6 +213,14 @@ class TestLargeStates:
         assert float(kv["w_locc_lower"]) >= float(kv["w_local"]) - 1e-9
         assert float(kv["w_locc_lower"]) <= 16 * LN2
 
+    def test_haar_16_tail_fits_memory_cap(self):
+        # One block of 2000 complex rows of 2^16 amplitudes alone is 2 GiB.
+        result = run_capped("experiment", "tail", "--ensemble", "haar", "--n", "16",
+                            "--samples", "2000", "--alphas", "1,2", "--seed", "1")
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        assert lines[0] == lab.TAIL_CSV_HEADER and len(lines) == 3
+
     def test_weak_tree_over_budget_exits_one(self, capsys, tmp_path, monkeypatch):
         hi, lo = math.sqrt(0.8), math.sqrt(0.2)
         path = tmp_path / "weak.txt"
@@ -287,6 +307,37 @@ class TestExperiment:
         assert code == 0
         assert out.splitlines()[0] == lab.CSV_HEADER
 
+    def write_config(self, tmp_path, **overrides):
+        cfg = {"ensemble": {"kind": "haar"}, "n_values": [2], "samples": 1, "seed": 5,
+               "output": str(tmp_path / "rows.csv")}
+        cfg.update(overrides)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        return cfg_path
+
+    def test_scaling_site_cap_before_rows(self, capsys, tmp_path):
+        cfg_path = self.write_config(tmp_path, n_values=[2, 26])
+        code, out, err = run(capsys, "experiment", "scaling", "--config", str(cfg_path))
+        assert code == 1
+        assert "dense cap" in err
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_scaling_bruteforce_limit_before_rows(self, capsys, tmp_path):
+        cfg_path = self.write_config(tmp_path, n_values=[3, 5],
+                                     estimators={"eg": {"method": "bruteforce"}})
+        code, out, err = run(capsys, "experiment", "scaling", "--config", str(cfg_path))
+        assert code == 1
+        assert "4 sites" in err
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_scaling_graph_ensembles_check_qubit_sites(self, capsys, tmp_path):
+        # Graph states are qubit states whatever local_dim the config names.
+        cfg_path = self.write_config(tmp_path, ensemble={"kind": "cycle", "local_dim": 3},
+                                     n_values=[4], estimators={"eg": {"method": "bruteforce"}})
+        code, out, err = run(capsys, "experiment", "scaling", "--config", str(cfg_path))
+        assert code == 0, err
+        assert lab.read_report(tmp_path / "rows.csv")[0].eg_cert == "bruteforce_certified"
+
     def test_scaling_missing_config(self, capsys):
         assert run(capsys, "experiment", "scaling", "--config", "/no/cfg.json")[0] == 2
 
@@ -313,6 +364,19 @@ class TestExperiment:
                            "--output", str(out_path))
         assert code == 0
         assert out_path.exists()
+
+    @pytest.mark.parametrize("ensemble", [
+        ("haar",),
+        ("circuit", "--depth", "2", "--design-order", "2"),
+    ])
+    def test_tail_stdout_matches_output_file(self, capsys, tmp_path, ensemble):
+        argv = ("experiment", "tail", "--ensemble", *ensemble, "--n", "3",
+                "--samples", "1000", "--alphas", "0.5,4", "--seed", "2")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        out_path = tmp_path / "tail.csv"
+        assert run(capsys, *argv, "--output", str(out_path))[0] == 0
+        assert out.encode() == out_path.read_bytes()
 
     def test_tail_circuit_needs_depth(self, capsys):
         assert run(capsys, "experiment", "tail", "--ensemble", "circuit",

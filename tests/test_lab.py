@@ -270,12 +270,45 @@ class TestRunScaling:
         assert all(rows_equal_except_wall(a, b) for a, b in zip(rows, back))
         assert [r.wall_ms for r in back] == [r.wall_ms for r in rows]
 
-    def test_threaded_matches_serial(self, monkeypatch):
-        cfg = make_config()
-        serial = lab.run_scaling(cfg)
-        monkeypatch.setenv("LOCCWORK_THREADS", "3")
-        threaded = lab.run_scaling(cfg)
-        assert all(rows_equal_except_wall(a, b) for a, b in zip(serial, threaded))
+    def test_rows_do_not_depend_on_other_n(self):
+        alone = lab.run_scaling(make_config(n_values=(3,)))
+        after_two = [r for r in lab.run_scaling(make_config(n_values=(2, 3))) if r.n == 3]
+        assert len(alone) == len(after_two) == 2
+        assert all(rows_equal_except_wall(a, b) for a, b in zip(alone, after_two))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(ensemble_kind="cycle", n_values=(3, 4), eg_method="bruteforce", eg_grid=8,
+                 protocols=("computational", "independent-set")),
+            dict(ensemble_kind="random_graph", n_values=(5,), w_local=False,
+                 protocols=("independent-set", "refined-null")),
+            dict(ensemble_kind="haar", local_dim=3, n_values=(3,), eg_method=None),
+        ],
+    )
+    def test_row_equals_work_report(self, overrides):
+        cfg = make_config(**overrides)
+        rows = lab.run_scaling(cfg)
+        assert [(r.n, r.sample) for r in rows] == [
+            (n, i) for n in cfg.n_values for i in range(cfg.samples)
+        ]
+        for r in rows:
+            assert r.seed == lab.derive_row_seed(cfg.seed, r.n, r.sample)
+            state, graph = lab.build_state(
+                cfg.ensemble_kind, r.n, seed=r.seed, local_dim=cfg.local_dim
+            )
+            rep = lab.work_report(
+                state,
+                graph,
+                eg_method=cfg.eg_method,
+                restarts=cfg.eg_restarts,
+                grid=cfg.eg_grid,
+                rng_seed=r.seed,
+                protocols=cfg.protocols,
+                w_local=cfg.w_local,
+            )
+            for name, value in vars(rep).items():
+                assert getattr(r, name) == value, name
 
     def test_subset_rows_hit_counting_value(self):
         cfg = make_config(
@@ -405,6 +438,22 @@ class TestRunTail:
         assert a.wilson_low <= b.empirical <= a.wilson_high
         assert b.wilson_low <= a.empirical <= b.wilson_high
 
+    def test_haar_counts_match_single_block_draw(self):
+        # 25 000 samples at D = 128: two blocks, the first drawn in two chunks.
+        num_sites, samples, seed = 7, 25_000, 3
+        alphas = [0.25, 0.5, 1.0, 2.0]
+        rows = lab.run_tail("haar", num_sites, samples, alphas, seed=seed)
+        dim = 2**num_sites
+        rng = np.random.default_rng(seed)
+        overlaps = []
+        for m in (20_000, 5_000):
+            block = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
+            overlaps.append(np.abs(block[:, 0]) ** 2 / (np.abs(block) ** 2).sum(axis=1))
+        overlaps = np.concatenate(overlaps)
+        counts = [int((overlaps >= 4 * a / dim).sum()) for a in alphas]
+        assert [r.exceed_count for r in rows] == counts
+        assert all(c > 0 for c in counts)
+
     def test_tail_csv(self, tmp_path):
         rows = lab.run_tail("haar", 4, 1000, [1.0, 2.0], seed=0)
         path = tmp_path / "tail.csv"
@@ -412,6 +461,59 @@ class TestRunTail:
         lines = path.read_text().splitlines()
         assert lines[0] == lab.TAIL_CSV_HEADER
         assert len(lines) == 3
+        for row, line in zip(rows, lines[1:]):
+            cells = dict(zip(lab.TAIL_CSV_HEADER.split(","), line.split(",")))
+            assert cells == {k: repr(v) for k, v in vars(row).items()}
+
+
+class TestBuildState:
+    def test_named_families(self):
+        for kind, build in [
+            ("ghz", lambda n: ensembles.ghz_state(n, 3)),
+            ("zero", lambda n: ensembles.zero_state(n, 3)),
+        ]:
+            state, graph = lab.build_state(kind, 3, local_dim=3)
+            assert graph is None
+            assert np.array_equal(state.amplitudes, build(3).amplitudes)
+        for kind, build in [("w", ensembles.w_state), ("plus", ensembles.plus_state)]:
+            state, graph = lab.build_state(kind, 4)
+            assert graph is None
+            assert np.array_equal(state.amplitudes, build(4).amplitudes)
+
+    def test_sampled_families_follow_the_seed(self):
+        state, _ = lab.build_state("haar", 3, seed=9, local_dim=3)
+        assert np.array_equal(state.amplitudes, ensembles.sample_haar(3, 3, 9).amplitudes)
+        state, _ = lab.build_state("circuit", 4, seed=9, depth=2)
+        expected = ensembles.sample_circuit(ensembles.CircuitSpec(4, 2, 9))
+        assert np.array_equal(state.amplitudes, expected.amplitudes)
+        state, _ = lab.build_state("subset", 4, seed=9, k=3)
+        expected = ensembles.subset_state(ensembles.sample_subset(4, 3, 9))
+        assert np.array_equal(state.amplitudes, expected.amplitudes)
+        state, graph = lab.build_state("random_graph", 5, seed=9)
+        assert graph == graphs.gen_random_graph(5, 9)
+        assert np.array_equal(state.amplitudes, ensembles.graph_state(graph).amplitudes)
+
+    def test_lattices(self):
+        _, graph = lab.build_state("cycle", 5)
+        assert graph == graphs.gen_lattice("cycle", (5,))
+        _, graph = lab.build_state("hexagonal", 8, rows=2)
+        assert graph == graphs.gen_lattice("hexagonal", (2, 4))
+
+    @pytest.mark.parametrize(
+        "kind, kwargs",
+        [
+            ("w", dict(local_dim=3)),
+            ("plus", dict(local_dim=3)),
+            ("haar", dict()),
+            ("circuit", dict(depth=2)),
+            ("subset", dict(k=2)),
+            ("random_graph", dict()),
+            ("ising", dict(seed=1)),
+        ],
+    )
+    def test_bad_specs_raise_value_error(self, kind, kwargs):
+        with pytest.raises(ValueError):
+            lab.build_state(kind, 4, **kwargs)
 
 
 class TestWorkReport:
@@ -436,3 +538,28 @@ class TestWorkReport:
     def test_unknown_eg_method_rejected(self):
         with pytest.raises(ValueError):
             lab.work_report(ensembles.ghz_state(2), eg_method="magic")
+
+    def test_menu_order_breaks_ties(self):
+        # On GHZ(3) the computational and refined-null rounds both reach 2 ln 2.
+        state = ensembles.ghz_state(3)
+        rep = lab.work_report(state, eg_method=None)
+        assert rep.best_protocol == "computational"
+        rep = lab.work_report(state, eg_method=None, protocols=("refined-null", "computational"))
+        assert rep.best_protocol == "null+rank1"
+        assert rep.w_locc_lower == pytest.approx(2 * LN2, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(w_locc_lower=0.4), dict(w_locc_lower=3 * LN2 + 1e-3), dict(eg_value=math.inf)],
+    )
+    def test_runs_the_row_checks(self, overrides):
+        kw = dict(w_global=3 * LN2, w_local=0.5, eg_value=None, eg_cert="",
+                  w_locc_upper=None, w_locc_lower=1.0, best_protocol="null")
+        lab.WorkReport(**kw)
+        kw.update(overrides)
+        with pytest.raises(ValueError):
+            lab.WorkReport(**kw)
+
+    def test_w_local_disabled(self):
+        rep = lab.work_report(ensembles.ghz_state(3), eg_method=None, w_local=False)
+        assert rep.w_local is None
