@@ -57,30 +57,36 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--support-file", help="support file (required for --state subset)")
 
 
-def _state_sites(args) -> int:
-    """Number of sites the requested state will have, without building it."""
+def _load_state_input(args):
+    """(num_sites, loaded) for the requested state, without building it.
+
+    loaded is the graph for --state graph, the SubsetSpec for --state
+    subset (each file is read once, here) and None otherwise.
+    """
     if args.state == "graph":
         if not args.graph_file:
             raise UsageError("--state graph requires --graph-file")
-        return graphs.load_graph(args.graph_file).num_vertices
+        g = graphs.load_graph(args.graph_file)
+        return g.num_vertices, g
     if args.state == "subset":
         if not args.support_file:
             raise UsageError("--state subset requires --support-file")
-        return ensembles.load_subset_spec(args.support_file).num_sites
+        spec = ensembles.load_subset_spec(args.support_file)
+        return spec.num_sites, spec
     if args.n is None or args.n < 1:
         raise UsageError(f"--state {args.state} requires --n >= 1")
-    return args.n
+    return args.n, None
 
 
-def _resolve_state(args):
-    """Returns (state, graph_or_None); call _state_sites first for caps."""
+def _resolve_state(args, loaded):
+    """Returns (state, graph_or_None); loaded comes from _load_state_input,
+    which callers run first for the caps."""
     if args.state in ("graph", "subset") and args.local_dim != 2:
         raise UsageError(f"{args.state} states are qubit states")
     if args.state == "graph":
-        g = graphs.load_graph(args.graph_file)
-        return ensembles.graph_state(g), g
+        return ensembles.graph_state(loaded), loaded
     if args.state == "subset":
-        return ensembles.subset_state(ensembles.load_subset_spec(args.support_file)), None
+        return ensembles.subset_state(loaded), None
     try:
         return lab.build_state(args.state, args.n, seed=args.seed, local_dim=args.local_dim)
     except ValueError as exc:
@@ -107,11 +113,11 @@ def _check_eg_method(method: str, num_sites: int, local_dim: int) -> None:
 
 
 def _cmd_work(args) -> int:
-    n = _state_sites(args)
+    n, loaded = _load_state_input(args)
     if args.eg_method != "none":
         _check_eg_method(args.eg_method, n, args.local_dim)
     _check_site_cap(n, args.local_dim)
-    state, graph = _resolve_state(args)
+    state, graph = _resolve_state(args, loaded)
     report = lab.work_report(
         state,
         graph,
@@ -133,10 +139,10 @@ def _cmd_work(args) -> int:
 
 
 def _cmd_eg(args) -> int:
-    n = _state_sites(args)
+    n, loaded = _load_state_input(args)
     _check_eg_method(args.method, n, args.local_dim)
     _check_site_cap(n, args.local_dim)
-    state, _ = _resolve_state(args)
+    state, _ = _resolve_state(args, loaded)
     if args.method == "schmidt":
         cut = tuple(_parse_int_list(args.cut))
         value = workbounds.eg_schmidt(state, cut)
@@ -158,10 +164,10 @@ def _cmd_eg(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
-    n = _state_sites(args)
+    n, loaded = _load_state_input(args)
     _check_site_cap(n, args.local_dim)
     protocol = locc.load_protocol(args.file)
-    state, _ = _resolve_state(args)
+    state, _ = _resolve_state(args, loaded)
     if protocol.num_sites != state.num_sites:
         raise UsageError(
             f"protocol acts on {protocol.num_sites} sites but the state has {state.num_sites}"
@@ -181,12 +187,18 @@ def _cmd_protocol(args) -> int:
 
 def _cmd_scaling(args) -> int:
     cfg = lab.load_config(args.config)
-    # n_values ascend, so the last one is the largest; check it before any row.
-    # Only haar and circuit states read local_dim; the others are qubit states.
+    # n_values ascend, so the last one is the largest; check it, and every N's
+    # lattice shape or subset size, before any row.  Only haar and circuit
+    # states read local_dim; the others are qubit states.
     d = cfg.local_dim if cfg.ensemble_kind in ("haar", "circuit") else 2
     _check_site_cap(cfg.n_values[-1], d)
     if cfg.eg_method is not None:
         _check_eg_method(cfg.eg_method, cfg.n_values[-1], d)
+    for n in cfg.n_values:
+        try:
+            lab.check_state_size(cfg.ensemble_kind, n, rows=cfg.rows, k=cfg.resolve_k(n))
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     rows = lab.run_scaling(cfg)
     if cfg.output:
         print(f"wrote {len(rows)} rows to {cfg.output}")

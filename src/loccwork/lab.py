@@ -236,17 +236,33 @@ def build_state(
         return ensembles.sample_circuit(spec), None
     if kind == "subset":
         return ensembles.subset_state(ensembles.sample_subset(num_sites, k, seed)), None
-    if kind == "cycle":
-        g = graphs.gen_lattice("cycle", (num_sites,))
-    elif kind == "random_graph":
+    if kind == "random_graph":
         g = graphs.gen_random_graph(num_sites, seed)
     elif kind in GRAPH_KINDS:
-        if num_sites % rows:
-            raise ValueError(f"N={num_sites} not divisible by rows={rows}")
-        g = graphs.gen_lattice(kind, (rows, num_sites // rows))
+        g = graphs.gen_lattice(kind, _lattice_dims(kind, num_sites, rows))
     else:
         raise ValueError(f"unknown state family {kind!r}")
     return ensembles.graph_state(g), g
+
+
+def _lattice_dims(kind: str, num_sites: int, rows: int | None) -> tuple:
+    if kind == "cycle":
+        return (num_sites,)
+    if num_sites % rows:
+        raise ValueError(f"N={num_sites} not divisible by rows={rows}")
+    return (rows, num_sites // rows)
+
+
+def check_state_size(
+    kind: str, num_sites: int, *, rows: int | None = None, k: int | None = None
+) -> None:
+    """Raises ValueError where build_state would reject this size, without
+    building the state: lattice shapes (only the small graph is built) and
+    a subset k outside 1..2^N."""
+    if kind == "subset" and k is not None and not 1 <= k <= 2**num_sites:
+        raise ValueError(f"k={k} out of range for {num_sites} sites")
+    if kind in GRAPH_KINDS and kind != "random_graph":
+        graphs.gen_lattice(kind, _lattice_dims(kind, num_sites, rows))
 
 
 def _build_menu(names, state: PureState, graph) -> list:

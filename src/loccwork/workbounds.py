@@ -75,13 +75,16 @@ class EgEstimate:
     certification is one of bruteforce_certified, schmidt_exact, or
     heuristic_local_max; only the first two may be treated as upper-bound
     grade.  The invariant |<maximizer|psi>|^2 = exp(-value) is established
-    at construction sites and re-checked by w_locc_upper.
+    at construction sites and re-checked by w_locc_upper.  unconverged
+    counts the alternating restarts that stopped at max_iters before their
+    overlap gain fell below tol.
     """
 
     value: float
     maximizer: ProductState
     certification: str
     restarts_used: int
+    unconverged: int = 0
 
     def __post_init__(self) -> None:
         if self.value < -1e-9:
@@ -119,7 +122,7 @@ def w_local(state: PureState) -> float:
     return float((np.log(state.local_dim) - site_entropies(marginals[0])).sum())
 
 
-def _fix_phases(factors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
+def _fix_phases(factors: np.ndarray) -> tuple[np.ndarray, ...]:
     """Rephase each factor so its largest-magnitude entry is real positive."""
     out = []
     for f in factors:
@@ -129,30 +132,100 @@ def _fix_phases(factors: list[np.ndarray]) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
-def _sweep(tensor: np.ndarray, factors: list[np.ndarray]) -> float:
-    """One in-place alternating pass over all sites; returns the overlap.
+# Restarts are swept in chunks whose suffix contractions hold at most this
+# many amplitudes together (32 MiB), the cap lab.run_tail uses for its chunks.
+_SWEEP_CHUNK_AMPLITUDES = 2**21
 
-    Each site update is the exact maximizer given the others, so the overlap
-    can only grow; the pass raises RuntimeError if it ever falls by more
-    than 1e-9.
+
+def _sweep(psi: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """One in-place alternating pass over all sites of R restarts at once.
+
+    psi holds the amplitudes (site 0 fastest); factors is the (R, N, d)
+    array of unit factors.  Site k's update contracts the suffix over sites
+    k+1..N-1 (old factors, built once per pass by batched matmul) with the
+    left product over sites 0..k-1 (new factors, grown site by site).  It
+    is the exact maximizer given the others, so no restart's overlap can
+    fall; the pass raises RuntimeError if one falls by more than 1e-9.  A
+    zero environment leaves its factor unchanged.  Returns the (R,)
+    overlaps.
     """
-    n = tensor.ndim
-    suffix = [None] * n
-    suffix[n - 1] = tensor
-    for m in range(n - 1, 0, -1):
-        suffix[m - 1] = np.tensordot(suffix[m], factors[m].conj(), axes=([m], [0]))
-    prev = None
+    r, n, d = factors.shape
+    conj = factors.conj()
+    rows = psi.reshape(d, -1)
+    # suffix[0] is psi contracted over site N-1, suffix[-1] over sites
+    # 1..N-1 (site 0's environment), so pop() hands out sites 0, 1, ... in turn.
+    suffix = []
+    if n > 1:
+        suffix.append(conj[:, n - 1] @ rows)
+        for k in range(n - 2, 0, -1):
+            suffix.append((conj[:, k, np.newaxis] @ suffix[-1].reshape(r, d, -1))[:, 0])
+    left = np.ones((r, 1), dtype=complex)
+    norms = np.empty((r, n))
     for k in range(n):
-        env = suffix[k]
-        for m in range(k):
-            env = np.tensordot(env, factors[m].conj(), axes=([0], [0]))
-        norm = float(np.linalg.norm(env))
-        if norm > 0.0:
-            factors[k] = env / norm
-        if prev is not None and norm < prev - 1e-9:
-            raise RuntimeError(f"alternating overlap decreased from {prev} to {norm}")
-        prev = norm
-    return prev
+        if k < n - 1:
+            env = (suffix.pop().reshape(r, d, -1) @ left[:, :, np.newaxis])[:, :, 0]
+        else:
+            env = (rows @ left.T).T
+        norm = np.linalg.norm(env, axis=1)
+        norms[:, k] = norm
+        np.divide(env, norm[:, np.newaxis], out=factors[:, k], where=norm[:, np.newaxis] > 0.0)
+        if k < n - 1:
+            left = (factors[:, k, :, np.newaxis].conj() * left[:, np.newaxis]).reshape(r, -1)
+    fell = np.diff(norms, axis=1) < -1e-9
+    if fell.any():
+        i, k = np.argwhere(fell)[0]
+        raise RuntimeError(
+            f"alternating overlap decreased from {norms[i, k]} to {norms[i, k + 1]}"
+        )
+    return norms[:, -1]
+
+
+def _alternate(
+    psi: np.ndarray, factors: np.ndarray, tol: float | None, max_iters: int
+) -> tuple[np.ndarray, int]:
+    """Alternating sweeps from R starting points, factors updated in place.
+
+    Each restart sweeps until its overlap gain drops below tol or max_iters
+    sweeps elapse (tol None: always max_iters sweeps); restarts that stop
+    leave the active set.  Restarts run in chunks that keep one chunk's
+    suffix contractions within _SWEEP_CHUNK_AMPLITUDES; restarts are
+    independent, so chunking changes no result.  Returns the (R,) final
+    overlaps and the number of restarts that ran out of sweeps.
+    """
+    r, n, d = factors.shape
+    # One restart's suffix arrays hold d + d^2 + ... + d^(N-1) amplitudes.
+    per_restart = max(1, (d**n - d) // (d - 1))
+    chunk = max(1, _SWEEP_CHUNK_AMPLITUDES // per_restart)
+    overlaps = np.empty(r)
+    unconverged = 0
+    for lo in range(0, r, chunk):
+        active = np.arange(lo, min(lo + chunk, r))
+        batch = factors[active]
+        prev = np.zeros(active.size)
+        for _ in range(max_iters):
+            cur = _sweep(psi, batch)
+            gain, prev = cur - prev, cur
+            if tol is not None and (gain < tol).any():
+                going = gain >= tol
+                stop = active[~going]
+                factors[stop], overlaps[stop] = batch[~going], prev[~going]
+                active, batch, prev = active[going], batch[going], prev[going]
+                if not active.size:
+                    break
+        factors[active], overlaps[active] = batch, prev
+        unconverged += active.size
+    return overlaps, unconverged
+
+
+def _random_factors(num_sites: int, local_dim: int, restarts: int, rng_seed) -> np.ndarray:
+    """(R, N, d) random unit factors; restart r draws from seed (rng_seed, r),
+    real then imaginary part site by site."""
+    factors = np.empty((restarts, num_sites, local_dim), dtype=complex)
+    for r in range(restarts):
+        rng = np.random.default_rng((rng_seed, r) if rng_seed is not None else None)
+        x = rng.standard_normal((num_sites, 2, local_dim))
+        factors[r] = x[:, 0] + 1j * x[:, 1]
+    return factors / np.linalg.norm(factors, axis=2, keepdims=True)
 
 
 def eg_alternating(
@@ -167,8 +240,9 @@ def eg_alternating(
     Each restart starts from an independent random product state (restart r
     uses seed (rng_seed, r), so results with fewer restarts are a prefix of
     results with more) and sweeps sites until the overlap gain drops below
-    tol or max_iters sweeps elapse.  The best overlap across restarts wins;
-    ties keep the earlier restart.
+    tol or max_iters sweeps elapse; unconverged counts the restarts that
+    ran out of sweeps.  The best overlap across restarts wins; ties keep
+    the earlier restart.
 
     On two-site states the result is cross-checked against the exact Schmidt
     value and certified schmidt_exact when they agree to 1e-8; otherwise the
@@ -178,24 +252,9 @@ def eg_alternating(
     if restarts < 1 or max_iters < 1 or tol <= 0:
         raise ValueError("restarts and max_iters must be >= 1 and tol > 0")
     n, d = state.num_sites, state.local_dim
-    tensor = _site_tensor(state)
-    best_overlap, best_factors = -1.0, None
-    for r in range(restarts):
-        rng = np.random.default_rng((rng_seed, r) if rng_seed is not None else None)
-        factors = []
-        for _ in range(n):
-            f = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-            factors.append(f / np.linalg.norm(f))
-        prev = 0.0
-        for _ in range(max_iters):
-            cur = _sweep(tensor, factors)
-            if cur - prev < tol:
-                prev = cur
-                break
-            prev = cur
-        if prev > best_overlap:
-            best_overlap, best_factors = prev, [f.copy() for f in factors]
-    maximizer = ProductState(_fix_phases(best_factors))
+    factors = _random_factors(n, d, restarts, rng_seed)
+    overlaps, unconverged = _alternate(state.amplitudes, factors, tol, max_iters)
+    maximizer = ProductState(_fix_phases(factors[int(np.argmax(overlaps))]))
     # Recompute from the maximizer so value and maximizer agree exactly.
     p = abs(product_overlap(maximizer, state)) ** 2
     value = float(-np.log(p))
@@ -204,7 +263,13 @@ def eg_alternating(
         exact = eg_schmidt(state, (0,))
         if abs(value - exact) <= 1e-8:
             cert = CERT_SCHMIDT
-    return EgEstimate(value=value, maximizer=maximizer, certification=cert, restarts_used=restarts)
+    return EgEstimate(
+        value=value,
+        maximizer=maximizer,
+        certification=cert,
+        restarts_used=restarts,
+        unconverged=unconverged,
+    )
 
 
 def eg_schmidt(state: PureState, cut: SiteSubset | tuple = (0,)) -> float:
@@ -249,12 +314,14 @@ def eg_bruteforce(state: PureState, grid_points_per_axis: int = 24) -> EgEstimat
     for every grid combination the final two sites are closed exactly through
     the top singular value of the residual 2x2 matrix, which dominates any
     grid on those sites.  The best candidate is then refined by 50
-    alternating sweeps.  With grid >= 24 the basin resolution is fine enough
-    to certify; coarser grids are reported as heuristic.
+    alternating sweeps of the eg_alternating kernel.  With grid >= 24 the
+    basin resolution is fine enough to certify; coarser grids are reported
+    as heuristic.
 
     For N >= 2 the grid start is then compared with an 8-restart
     eg_alternating run, so restarts_used is 9 (the grid start plus those 8
-    restarts); for N = 1 it is 1.
+    restarts) and unconverged is that run's count; for N = 1 they are 1
+    and 0.
     """
     if state.local_dim != 2:
         raise ValueError("bruteforce search is qubit-only")
@@ -264,45 +331,43 @@ def eg_bruteforce(state: PureState, grid_points_per_axis: int = 24) -> EgEstimat
     if grid_points_per_axis < 2:
         raise ValueError("need at least 2 grid points per axis")
 
-    tensor = _site_tensor(state)
     if n == 1:
-        factors = [state.amplitudes.copy()]
+        start = state.amplitudes
     else:
         grid = _bloch_grid(grid_points_per_axis)
+        g2 = grid.shape[0]
+        tensor = _site_tensor(state)
         if n == 2:
             w = tensor[np.newaxis, ...]
-            combos = [()]
         elif n == 3:
-            w = np.einsum("qa,abc->qbc", grid.conj(), tensor)
-            combos = [(q,) for q in range(grid.shape[0])]
+            w = (grid.conj() @ tensor.reshape(2, 4)).reshape(g2, 2, 2)
         else:
-            t1 = np.einsum("qa,abcd->qbcd", grid.conj(), tensor)
-            w = np.einsum("rb,qbcd->qrcd", grid.conj(), t1).reshape(-1, 2, 2)
-            g2 = grid.shape[0]
-            # w[i] pairs with grid sites (i // g2, i % g2) after the reshape.
-            combos = [(i // g2, i % g2) for i in range(w.shape[0])]
+            t1 = (grid.conj() @ tensor.reshape(2, 8)).reshape(g2, 2, 4)
+            w = (grid.conj() @ t1).reshape(g2 * g2, 2, 2)
         sig = _batch_sigma_max_sq(w)
         best = int(np.argmax(sig))
+        # w[best] pairs with grid point best (N = 3), or with grid points
+        # divmod(best, g2) on sites 0 and 1 (N = 4).
+        scanned = {2: (), 3: (best,), 4: divmod(best, g2)}[n]
         # Overlap against the residual pair is a^H W conj(b), maximized by
         # a = u_max and b = conj(v_max) = vh row.
         u, _, vh = np.linalg.svd(w[best])
-        closure = [u[:, 0], vh[0, :]]
-        factors = [grid[c] for c in combos[best]] + closure
+        start = [grid[q] for q in scanned] + [u[:, 0], vh[0, :]]
+    factors = np.array(start, dtype=complex).reshape(1, n, 2)
+    _alternate(state.amplitudes, factors, None, 50)
 
-    for _ in range(50):
-        _sweep(tensor, factors)
-
-    maximizer = ProductState(_fix_phases(factors))
+    maximizer = ProductState(_fix_phases(factors[0]))
     p = abs(product_overlap(maximizer, state)) ** 2
 
     # Grid-started sweeps converge sublinearly when the optimum is
     # degenerate; random-start alternating does not.  Keeping the better of
     # the two only moves the estimate toward the true maximum, so the grid
     # certification still stands.
-    restarts_used = 1
+    restarts_used, unconverged = 1, 0
     if n >= 2:
         alt = eg_alternating(state, restarts=8, rng_seed=0)
         restarts_used += alt.restarts_used
+        unconverged = alt.unconverged
         p_alt = math.exp(-alt.value)
         if p_alt > p:
             p, maximizer = p_alt, alt.maximizer
@@ -313,6 +378,7 @@ def eg_bruteforce(state: PureState, grid_points_per_axis: int = 24) -> EgEstimat
         maximizer=maximizer,
         certification=cert,
         restarts_used=restarts_used,
+        unconverged=unconverged,
     )
 
 

@@ -132,6 +132,29 @@ class TestWork:
         assert kv["best_protocol"] == "independent-set"
 
 
+    @pytest.mark.parametrize("state", ["graph", "subset"])
+    def test_state_file_loaded_once(self, capsys, tmp_path, monkeypatch, state):
+        gfile = tmp_path / "c6.graph"
+        graphs.save_graph(graphs.gen_lattice("cycle", (6,)), gfile)
+        sfile = tmp_path / "s4.support"
+        ensembles.save_subset_spec(ensembles.sample_subset(4, 2, 0), sfile)
+        module, name = {"graph": (graphs, "load_graph"),
+                        "subset": (ensembles, "load_subset_spec")}[state]
+        loads = []
+        real = getattr(module, name)
+
+        def counting_load(path):
+            loads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(module, name, counting_load)
+        flag = {"graph": ["--graph-file", str(gfile)],
+                "subset": ["--support-file", str(sfile)]}[state]
+        code, _, err = run(capsys, "work", "--state", state, *flag)
+        assert code == 0, err
+        assert len(loads) == 1
+
+
 class TestEg:
     def test_product_state_zero(self, capsys):
         code, out, _ = run(capsys, "eg", "--state", "zero", "--n", "3")
@@ -337,6 +360,21 @@ class TestExperiment:
         code, out, err = run(capsys, "experiment", "scaling", "--config", str(cfg_path))
         assert code == 0, err
         assert lab.read_report(tmp_path / "rows.csv")[0].eg_cert == "bruteforce_certified"
+
+    @pytest.mark.parametrize("ensemble,n_values,message", [
+        ({"kind": "square_torus", "rows": 3}, [9, 10], "not divisible"),
+        ({"kind": "hexagonal", "rows": 2}, [8, 10], "even rows and cols"),
+        ({"kind": "subset", "k": 5}, [2, 3], "out of range"),
+    ])
+    def test_scaling_sizes_checked_before_rows(self, capsys, tmp_path, ensemble, n_values,
+                                               message):
+        # Each config fails at one N; no row, not even an earlier N's, is written.
+        cfg_path = self.write_config(tmp_path, ensemble=ensemble, n_values=n_values)
+        code, out, err = run(capsys, "experiment", "scaling", "--config", str(cfg_path))
+        assert code == 1
+        assert message in err
+        assert out == ""
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_scaling_missing_config(self, capsys):
         assert run(capsys, "experiment", "scaling", "--config", "/no/cfg.json")[0] == 2

@@ -265,14 +265,14 @@ def test_eg_bruteforce_reports_restarts_it_ran():
         assert eg_bruteforce(ghz_state(n), grid_points_per_axis=8).restarts_used == 9
 
 
-# A factor of norm 10 on site 1 inflates the first site update tenfold; the
-# second update, against a unit factor, cannot keep up.
+# One restart whose site-1 factor has norm 10: it inflates the first site
+# update tenfold; the second update, against a unit factor, cannot keep up.
 DECREASING_SWEEP = """
 import numpy as np
 from loccwork.ensembles import zero_state
-from loccwork.workbounds import _site_tensor, _sweep
-factors = [np.array([1.0, 0.0], dtype=complex), np.array([10.0, 0.0], dtype=complex)]
-_sweep(_site_tensor(zero_state(2)), factors)
+from loccwork.workbounds import _sweep
+factors = np.array([[[1.0, 0.0], [10.0, 0.0]]], dtype=complex)
+_sweep(zero_state(2).amplitudes, factors)
 """
 
 
