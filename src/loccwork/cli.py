@@ -1,8 +1,10 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 usage error (bad flags, bad flag combinations,
-resource caps, branch trees over locc.BRANCH_BUDGET_BYTES), 2 runtime error
-(missing or malformed input files, failed computations).
+Exit codes: 0 success; 1 usage error, before any work or output file (bad
+flags or flag combinations, state specs and eg search parameters that lab
+rejects as StateSpecError, branch trees over locc.BRANCH_BUDGET_BYTES); 2
+runtime error (missing or malformed input files, bad JSON, unknown ensemble
+kinds, protocols or eg methods in a config, failed computations).
 
 Subcommands:
     work        all work figures for one state
@@ -20,10 +22,6 @@ import sys
 import numpy as np
 
 from . import ensembles, graphs, lab, locc, workbounds
-
-# Largest dense state the CLI will build: 2^24 amplitudes is 256 MiB.
-MAX_DENSE_SITES = 24
-
 
 class UsageError(Exception):
     """Bad flag combination or out-of-range request; exits 1."""
@@ -57,67 +55,31 @@ def _add_state_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--support-file", help="support file (required for --state subset)")
 
 
-def _load_state_input(args):
-    """(num_sites, loaded) for the requested state, without building it.
-
-    loaded is the graph for --state graph, the SubsetSpec for --state
-    subset (each file is read once, here) and None otherwise.
-    """
+def _state_spec(args) -> dict:
+    """lab.build_state keywords for the --state flags.  A graph or support
+    file is read here, once; a missing or malformed file exits 2."""
+    num_sites, source = args.n, None
     if args.state == "graph":
         if not args.graph_file:
             raise UsageError("--state graph requires --graph-file")
-        g = graphs.load_graph(args.graph_file)
-        return g.num_vertices, g
-    if args.state == "subset":
+        source = graphs.load_graph(args.graph_file)
+        num_sites = source.num_vertices
+    elif args.state == "subset":
         if not args.support_file:
             raise UsageError("--state subset requires --support-file")
-        spec = ensembles.load_subset_spec(args.support_file)
-        return spec.num_sites, spec
-    if args.n is None or args.n < 1:
-        raise UsageError(f"--state {args.state} requires --n >= 1")
-    return args.n, None
-
-
-def _resolve_state(args, loaded):
-    """Returns (state, graph_or_None); loaded comes from _load_state_input,
-    which callers run first for the caps."""
-    if args.state in ("graph", "subset") and args.local_dim != 2:
-        raise UsageError(f"{args.state} states are qubit states")
-    if args.state == "graph":
-        return ensembles.graph_state(loaded), loaded
-    if args.state == "subset":
-        return ensembles.subset_state(loaded), None
-    try:
-        return lab.build_state(args.state, args.n, seed=args.seed, local_dim=args.local_dim)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
-def _check_site_cap(num_sites: int, local_dim: int) -> None:
-    if local_dim < 2:
-        raise UsageError("--local-dim must be >= 2")
-    if local_dim**num_sites > 2**MAX_DENSE_SITES:
-        raise UsageError(
-            f"state dimension {local_dim}^{num_sites} exceeds the dense cap 2^{MAX_DENSE_SITES}"
-        )
-
-
-def _check_eg_method(method: str, num_sites: int, local_dim: int) -> None:
-    if method == "bruteforce":
-        if local_dim != 2:
-            raise UsageError("bruteforce exponent search handles qubit sites only")
-        if num_sites > 4:
-            raise UsageError("bruteforce exponent search is limited to 4 sites")
-    if method == "schmidt" and num_sites < 2:
-        raise UsageError("schmidt bound needs at least 2 sites")
+        source = ensembles.load_subset_spec(args.support_file)
+        num_sites = source.num_sites
+    elif num_sites is None:
+        raise UsageError(f"--state {args.state} requires --n")
+    return dict(kind=args.state, num_sites=num_sites, seed=args.seed,
+                local_dim=args.local_dim, source=source)
 
 
 def _cmd_work(args) -> int:
-    n, loaded = _load_state_input(args)
-    if args.eg_method != "none":
-        _check_eg_method(args.eg_method, n, args.local_dim)
-    _check_site_cap(n, args.local_dim)
-    state, graph = _resolve_state(args, loaded)
+    spec = _state_spec(args)
+    lab._check_eg(args.eg_method, spec["num_sites"], args.local_dim,
+                  restarts=args.restarts, grid=args.grid)
+    state, graph = lab.build_state(**spec)
     report = lab.work_report(
         state,
         graph,
@@ -139,10 +101,12 @@ def _cmd_work(args) -> int:
 
 
 def _cmd_eg(args) -> int:
-    n, loaded = _load_state_input(args)
-    _check_eg_method(args.method, n, args.local_dim)
-    _check_site_cap(n, args.local_dim)
-    state, _ = _resolve_state(args, loaded)
+    spec = _state_spec(args)
+    if args.method == "schmidt" and spec["num_sites"] < 2:
+        raise UsageError("schmidt bound needs at least 2 sites")
+    lab._check_eg(args.method, spec["num_sites"], args.local_dim,
+                  restarts=args.restarts, grid=args.grid)
+    state, _ = lab.build_state(**spec)
     if args.method == "schmidt":
         cut = tuple(_parse_int_list(args.cut))
         value = workbounds.eg_schmidt(state, cut)
@@ -164,10 +128,8 @@ def _cmd_eg(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
-    n, loaded = _load_state_input(args)
-    _check_site_cap(n, args.local_dim)
+    state, _ = lab.build_state(**_state_spec(args))
     protocol = locc.load_protocol(args.file)
-    state, _ = _resolve_state(args, loaded)
     if protocol.num_sites != state.num_sites:
         raise UsageError(
             f"protocol acts on {protocol.num_sites} sites but the state has {state.num_sites}"
@@ -187,18 +149,6 @@ def _cmd_protocol(args) -> int:
 
 def _cmd_scaling(args) -> int:
     cfg = lab.load_config(args.config)
-    # n_values ascend, so the last one is the largest; check it, and every N's
-    # lattice shape or subset size, before any row.  Only haar and circuit
-    # states read local_dim; the others are qubit states.
-    d = cfg.local_dim if cfg.ensemble_kind in ("haar", "circuit") else 2
-    _check_site_cap(cfg.n_values[-1], d)
-    if cfg.eg_method is not None:
-        _check_eg_method(cfg.eg_method, cfg.n_values[-1], d)
-    for n in cfg.n_values:
-        try:
-            lab.check_state_size(cfg.ensemble_kind, n, rows=cfg.rows, k=cfg.resolve_k(n))
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
     rows = lab.run_scaling(cfg)
     if cfg.output:
         print(f"wrote {len(rows)} rows to {cfg.output}")
@@ -221,9 +171,6 @@ def _cmd_tail(args) -> int:
         raise UsageError("--alphas must list positive values")
     if args.ensemble == "circuit" and (args.depth is None or args.design_order is None):
         raise UsageError("circuit tails require --depth and --design-order")
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    _check_site_cap(args.n, 2)
     rows = lab.run_tail(
         args.ensemble,
         args.n,
@@ -344,7 +291,7 @@ def cli_main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (UsageError, locc.BranchBudgetError) as exc:
+    except (UsageError, lab.StateSpecError, locc.BranchBudgetError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:

@@ -7,9 +7,10 @@ Reproducibility contract: every row draws its state from a seed derived as
 so the same config file always produces the same numbers (wall_ms aside),
 regardless of execution order.  Rows are emitted in (N, sample) order.
 
-build_state turns a family name and its parameters into a state, and
-work_report evaluates one state; the CLI and the scaling harness both go
-through these two functions.
+check_state is the one judge of a state spec (a family, N and its
+parameters) and allocates nothing; build_state runs it, then builds the
+state; work_report evaluates one state.  The CLI, ExperimentConfig (every N)
+and run_tail check first, so a bad spec fails before any work or file.
 """
 
 from __future__ import annotations
@@ -45,7 +46,18 @@ ENSEMBLE_KINDS = ("haar", "circuit", "subset") + GRAPH_KINDS
 PROTOCOL_NAMES = ("null", "computational", "independent-set", "refined-null")
 EG_METHODS = ("alternating", "bruteforce")
 
-_SUBSET_K_RULE = re.compile(r"^2\^\(N/(\d+)\)$")
+_SUBSET_K_RULE = re.compile(r"^2\^\(N/([1-9]\d*)\)$")
+
+# Largest dense state any spec may ask for: 2^24 amplitudes is 256 MiB.
+MAX_DENSE_SITES = 24
+
+_STATE_KINDS = ("ghz", "zero", "w", "plus", "haar", "circuit", "subset", "graph") + GRAPH_KINDS
+_SEEDED_KINDS = ("haar", "circuit", "subset", "random_graph")
+_QUBIT_KINDS = ("w", "plus", "subset", "graph") + GRAPH_KINDS
+
+
+class StateSpecError(ValueError):
+    """A state spec, or eg search parameters, that no run can use; raised before allocating."""
 
 
 def derive_row_seed(base_seed: int, num_sites: int, sample_index: int) -> int:
@@ -92,26 +104,19 @@ class ExperimentConfig:
     protocols: tuple = ("null",)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         if self.ensemble_kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble kind {self.ensemble_kind!r}")
-        if not self.n_values or any(int(n) < 1 for n in self.n_values):
-            raise ValueError("n_values must be positive")
+        if not self.n_values:
+            raise ValueError("n_values must not be empty")
         if any(a >= b for a, b in zip(self.n_values, self.n_values[1:])):
             raise ValueError("n_values must be strictly ascending")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.ensemble_kind == "circuit" and (self.depth is None or self.depth < 0):
-            raise ValueError("circuit ensemble needs a nonnegative depth")
-        if self.ensemble_kind in ("square_torus", "triangular_torus", "hexagonal"):
-            if self.rows is None or self.rows < 2:
-                raise ValueError(f"{self.ensemble_kind} ensemble needs rows >= 2")
-        if self.ensemble_kind == "subset":
-            if self.subset_k is None:
-                raise ValueError("subset ensemble needs k")
-            if isinstance(self.subset_k, str) and not _SUBSET_K_RULE.match(self.subset_k):
-                raise ValueError(f'bad k rule {self.subset_k!r}; use an int or "2^(N/D)"')
+        if isinstance(self.subset_k, str) and not _SUBSET_K_RULE.match(self.subset_k):
+            raise ValueError(f'bad k rule {self.subset_k!r}; use an int or "2^(N/D)"')
         if self.eg_method is not None and self.eg_method not in EG_METHODS:
             raise ValueError(f"unknown eg method {self.eg_method!r}")
         bad = set(self.protocols) - set(PROTOCOL_NAMES)
@@ -119,9 +124,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown protocols {sorted(bad)}")
         if "independent-set" in self.protocols and self.ensemble_kind not in GRAPH_KINDS:
             raise ValueError("independent-set protocol requires a graph ensemble")
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
         protos = tuple(dict.fromkeys(("null",) + tuple(self.protocols)))
         object.__setattr__(self, "protocols", protos)
+        for n in self.n_values:
+            check_state(**self._state_spec(n, self.seed))
+            _check_eg(self.eg_method, n, self.local_dim, restarts=self.eg_restarts,
+                      grid=self.eg_grid)
+
+    def _state_spec(self, num_sites: int, seed: int) -> dict:
+        """check_state / build_state keywords for one row."""
+        return dict(kind=self.ensemble_kind, num_sites=num_sites, seed=seed,
+                    local_dim=self.local_dim, depth=self.depth, rows=self.rows,
+                    k=self.resolve_k(num_sites))
 
     def resolve_k(self, num_sites: int) -> int | None:
         if self.subset_k is None or isinstance(self.subset_k, int):
@@ -138,6 +152,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
     "estimators": {"w_local": bool, "eg": {"method", "restarts", "grid"}?,
     "protocols": [names]}}.  The null protocol is always added to the menu,
     which keeps every row's lower bound at or above its local figure.
+    Graph and subset ensembles are qubit ensembles: local_dim is 2 for them.
     """
     raw = json.loads(Path(path).read_text())
     ens = raw.get("ensemble")
@@ -151,7 +166,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         samples=int(raw.get("samples", 0)),
         seed=int(raw.get("seed", -1)),
         output=raw.get("output"),
-        local_dim=int(ens.get("local_dim", 2)),
+        local_dim=2 if ens["kind"] in _QUBIT_KINDS else int(ens.get("local_dim", 2)),
         depth=ens.get("depth"),
         rows=ens.get("rows"),
         subset_k=ens.get("k"),
@@ -198,29 +213,92 @@ class ResultRow:
         _check_figures(self)
 
 
-def build_state(
-    kind: str,
-    num_sites: int,
-    *,
-    seed: int | None = None,
-    local_dim: int = 2,
-    depth: int | None = None,
-    rows: int | None = None,
-    k: int | None = None,
-):
-    """Returns (state, graph_or_None) for one generated state family.
+def check_state(kind: str, num_sites: int, *, seed: int | None = None, local_dim: int = 2,
+                depth: int | None = None, rows: int | None = None, k: int | None = None,
+                source=None) -> None:
+    """Raises StateSpecError exactly where build_state would fail on this
+    spec, and allocates nothing (a lattice's small graph aside).
 
-    Named families: ghz, zero (any local_dim), w, plus (qubits only).
-    Sampled families, which need a seed: haar, circuit (depth brickwork
-    layers), subset (k random bitstrings) and random_graph.  Lattice graph
-    states: cycle, and square_torus, triangular_torus and hexagonal with
-    `rows` rows.  Graph and subset states are qubit states and ignore
-    local_dim.  A bad spec raises ValueError.
+    Checked: the family is known; a graph state has a loaded Graph, and a
+    loaded Graph or SubsetSpec has num_sites sites; sampled families without
+    a source have a seed >= 0; num_sites >= 1 (w and circuit: >= 2);
+    local_dim >= 2, and 2 for the qubit families (w, plus, subset, graph and
+    the lattices); local_dim^num_sites <= 2^MAX_DENSE_SITES; a circuit has
+    depth >= 0; a lattice has rows >= 2 dividing num_sites in a shape
+    graphs.gen_lattice accepts; a sampled subset has 1 <= k <= 2^N.
     """
-    if seed is None and kind in ("haar", "circuit", "subset", "random_graph"):
-        raise ValueError(f"{kind} states need a seed")
-    if local_dim != 2 and kind in ("w", "plus"):
-        raise ValueError(f"the {kind} family is a qubit family")
+    if kind not in _STATE_KINDS:
+        raise StateSpecError(f"unknown state family {kind!r}")
+    if source is not None:
+        sites = source.num_vertices if kind == "graph" else source.num_sites
+        if sites != num_sites:
+            raise StateSpecError(f"the loaded {kind} has {sites} sites, not {num_sites}")
+    elif kind == "graph":
+        raise StateSpecError("graph states need a loaded graph")
+    elif kind in _SEEDED_KINDS and (seed is None or seed < 0):
+        raise StateSpecError(f"{kind} states need a seed >= 0")
+    min_sites = 2 if kind in ("w", "circuit") else 1
+    if num_sites < min_sites:
+        raise StateSpecError(f"{kind} states need num_sites >= {min_sites}")
+    if local_dim < 2:
+        raise StateSpecError("local_dim must be >= 2")
+    if local_dim != 2 and kind in _QUBIT_KINDS:
+        raise StateSpecError(f"{kind} states are qubit states")
+    # num_sites > MAX_DENSE_SITES alone exceeds the cap, and skips a huge power.
+    if num_sites > MAX_DENSE_SITES or local_dim**num_sites > 2**MAX_DENSE_SITES:
+        raise StateSpecError(
+            f"state dimension {local_dim}^{num_sites} exceeds the dense cap 2^{MAX_DENSE_SITES}"
+        )
+    if kind == "circuit" and (depth is None or depth < 0):
+        raise StateSpecError("circuit states need a depth >= 0")
+    if kind == "subset" and source is None and (k is None or not 1 <= k <= 2**num_sites):
+        raise StateSpecError(f"subset states need a k in 1..2^{num_sites}; k={k} is out of range")
+    if kind in GRAPH_KINDS and kind != "random_graph":
+        dims = _lattice_dims(kind, num_sites, rows)
+        try:
+            graphs.gen_lattice(kind, dims)
+        except ValueError as exc:
+            raise StateSpecError(str(exc)) from exc
+
+
+def _lattice_dims(kind: str, num_sites: int, rows: int | None) -> tuple:
+    if kind == "cycle":
+        return (num_sites,)
+    if rows is None or rows < 2:
+        raise StateSpecError(f"{kind} states need rows >= 2")
+    if num_sites % rows:
+        raise StateSpecError(f"N={num_sites} not divisible by rows={rows}")
+    return (rows, num_sites // rows)
+
+
+def _check_eg(method, num_sites: int, local_dim: int, *, restarts: int, grid: int) -> None:
+    """Raises StateSpecError where eg_estimate would reject its parameters on
+    a state of this size: alternating needs restarts >= 1, bruteforce needs
+    qubit sites, at most 4 of them, and grid >= 2; other methods pass."""
+    if method == "alternating" and restarts < 1:
+        raise StateSpecError("eg restarts must be >= 1")
+    if method == "bruteforce":
+        if local_dim != 2:
+            raise StateSpecError("bruteforce exponent search handles qubit sites only")
+        if num_sites > 4:
+            raise StateSpecError("bruteforce exponent search is limited to 4 sites")
+        if grid < 2:
+            raise StateSpecError("bruteforce exponent search needs grid >= 2")
+
+
+def build_state(kind: str, num_sites: int, *, seed: int | None = None, local_dim: int = 2,
+                depth: int | None = None, rows: int | None = None, k: int | None = None,
+                source=None):
+    """Returns (state, graph_or_None) for one spec, after check_state.
+
+    Named families: ghz, zero (any local_dim), w, plus.  Sampled families,
+    which need a seed: haar, circuit (depth brickwork layers), subset (k
+    random bitstrings) and random_graph.  Lattices: cycle, and square_torus,
+    triangular_torus and hexagonal with `rows` rows.  Loaded: graph (source
+    a Graph) and subset (source a SubsetSpec, in place of k and seed).
+    """
+    check_state(kind, num_sites, seed=seed, local_dim=local_dim, depth=depth, rows=rows, k=k,
+                source=source)
     if kind == "ghz":
         return ensembles.ghz_state(num_sites, local_dim), None
     if kind == "zero":
@@ -235,34 +313,16 @@ def build_state(
         spec = ensembles.CircuitSpec(num_sites, depth, seed, local_dim)
         return ensembles.sample_circuit(spec), None
     if kind == "subset":
-        return ensembles.subset_state(ensembles.sample_subset(num_sites, k, seed)), None
-    if kind == "random_graph":
+        if source is None:
+            source = ensembles.sample_subset(num_sites, k, seed)
+        return ensembles.subset_state(source), None
+    if kind == "graph":
+        g = source
+    elif kind == "random_graph":
         g = graphs.gen_random_graph(num_sites, seed)
-    elif kind in GRAPH_KINDS:
-        g = graphs.gen_lattice(kind, _lattice_dims(kind, num_sites, rows))
     else:
-        raise ValueError(f"unknown state family {kind!r}")
+        g = graphs.gen_lattice(kind, _lattice_dims(kind, num_sites, rows))
     return ensembles.graph_state(g), g
-
-
-def _lattice_dims(kind: str, num_sites: int, rows: int | None) -> tuple:
-    if kind == "cycle":
-        return (num_sites,)
-    if num_sites % rows:
-        raise ValueError(f"N={num_sites} not divisible by rows={rows}")
-    return (rows, num_sites // rows)
-
-
-def check_state_size(
-    kind: str, num_sites: int, *, rows: int | None = None, k: int | None = None
-) -> None:
-    """Raises ValueError where build_state would reject this size, without
-    building the state: lattice shapes (only the small graph is built) and
-    a subset k outside 1..2^N."""
-    if kind == "subset" and k is not None and not 1 <= k <= 2**num_sites:
-        raise ValueError(f"k={k} out of range for {num_sites} sites")
-    if kind in GRAPH_KINDS and kind != "random_graph":
-        graphs.gen_lattice(kind, _lattice_dims(kind, num_sites, rows))
 
 
 def _build_menu(names, state: PureState, graph) -> list:
@@ -294,15 +354,7 @@ def run_scaling(cfg: ExperimentConfig) -> list:
             for sample in range(cfg.samples):
                 seed = derive_row_seed(cfg.seed, n, sample)
                 t0 = time.perf_counter()
-                state, graph = build_state(
-                    cfg.ensemble_kind,
-                    n,
-                    seed=seed,
-                    local_dim=cfg.local_dim,
-                    depth=cfg.depth,
-                    rows=cfg.rows,
-                    k=cfg.resolve_k(n),
-                )
+                state, graph = build_state(**cfg._state_spec(n, seed))
                 report = work_report(
                     state,
                     graph,
@@ -360,6 +412,9 @@ def run_tail(
     "circuit" rows (depth required) test Prob[overlap >= alpha/D] against
     (t/alpha)^t with t = design_order.  At least 1000 samples required.
     """
+    if ensemble_kind not in ("haar", "circuit"):
+        raise ValueError(f"unknown tail ensemble {ensemble_kind!r}")
+    check_state(ensemble_kind, num_sites, seed=seed, depth=depth)
     if samples < 1000:
         raise ValueError("tail estimates need at least 1000 samples")
     dim = 2**num_sites
@@ -379,17 +434,13 @@ def run_tail(
                     first[lo : lo + len(x)] += x[:, 0] ** 2
                     total[lo : lo + len(x)] += (x**2).sum(axis=1)
             overlaps[start : start + m] = first / total
-    elif ensemble_kind == "circuit":
-        if depth is None:
-            raise ValueError("circuit tail needs a depth")
+    else:
         if design_order is None or design_order < 1:
             raise ValueError("circuit tail needs design_order >= 1")
         overlaps = np.empty(samples)
         for i in range(samples):
             spec = ensembles.CircuitSpec(num_sites, depth, seed + i)
             overlaps[i] = abs(ensembles.sample_circuit(spec).amplitudes[0]) ** 2
-    else:
-        raise ValueError(f"unknown tail ensemble {ensemble_kind!r}")
 
     out = []
     for alpha in alphas:

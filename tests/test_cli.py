@@ -75,6 +75,43 @@ class TestExitCodes:
         assert "usage error" in err
         assert "bruteforce" in err and "4" in err
 
+    @pytest.mark.parametrize("argv, config, message", [
+        (("work", "--state", "haar", "--n", "3", "--seed", "1", "--restarts", "0"), None,
+         "restarts must be >= 1"),
+        (("eg", "--state", "haar", "--n", "3", "--seed", "1", "--restarts", "0"), None,
+         "restarts must be >= 1"),
+        (("eg", "--state", "ghz", "--n", "3", "--method", "bruteforce", "--grid", "1"), None,
+         "grid >= 2"),
+        (("experiment", "tail", "--ensemble", "circuit", "--n", "1", "--samples", "1000",
+          "--alphas", "1", "--seed", "0", "--depth", "2", "--design-order", "2"), None,
+         "num_sites >= 2"),
+        (None, ({"kind": "circuit", "depth": 2}, [1, 2], {}), "num_sites >= 2"),
+        (None, ({"kind": "haar"}, [2, 3], {"eg": {"restarts": 0}}), "restarts must be >= 1"),
+        (None, ({"kind": "haar"}, [2, 3], {"eg": {"method": "bruteforce", "grid": 1}}),
+         "grid >= 2"),
+        (None, ({"kind": "haar", "local_dim": 1}, [2], {}), "usage error: local_dim must be >= 2"),
+    ])
+    def test_spec_errors_exit_one_before_any_state_or_file(self, capsys, tmp_path, monkeypatch,
+                                                           argv, config, message):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a state was built")
+
+        # A build reached would exit 2 with this message instead.
+        monkeypatch.setattr(lab, "build_state", no_build)
+        monkeypatch.setattr(ensembles, "sample_circuit", no_build)
+        csv = tmp_path / "rows.csv"
+        if config is not None:
+            ensemble, n_values, estimators = config
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"ensemble": ensemble, "n_values": n_values,
+                                            "samples": 1, "seed": 0, "output": str(csv),
+                                            "estimators": estimators}))
+            argv = ("experiment", "scaling", "--config", str(cfg_path))
+        code, out, err = run(capsys, *argv)
+        assert code == 1, err
+        assert out == "" and message in err and "--local-dim" not in err
+        assert not csv.exists()
+
     def test_runtime_error_exits_two(self, capsys):
         code, _, err = run(capsys, "work", "--state", "graph", "--graph-file", "/no/such/file")
         assert code == 2

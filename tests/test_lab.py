@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -130,8 +131,10 @@ class TestConfig:
         cfg = make_config(ensemble_kind="subset", subset_k="2^(N/2)")
         assert cfg.resolve_k(7) == 8
         assert cfg.resolve_k(8) == 16
-        cfg = make_config(ensemble_kind="subset", subset_k=5)
+        cfg = make_config(ensemble_kind="subset", subset_k=5, n_values=(3, 11))
         assert cfg.resolve_k(11) == 5
+        with pytest.raises(lab.StateSpecError, match="out of range"):
+            make_config(ensemble_kind="subset", subset_k=5, n_values=(2, 3))
         with pytest.raises(ValueError):
             make_config(ensemble_kind="subset", subset_k="half")
         with pytest.raises(ValueError):
@@ -171,6 +174,26 @@ class TestConfig:
         assert cfg.eg_method is None
         assert cfg.output is None
         assert cfg.protocols == ("null",)
+
+    def test_every_n_checked(self):
+        with pytest.raises(lab.StateSpecError, match="num_sites >= 2"):
+            make_config(ensemble_kind="circuit", depth=2, n_values=(1, 2))
+        with pytest.raises(lab.StateSpecError, match="restarts"):
+            make_config(eg_restarts=0)
+        with pytest.raises(lab.StateSpecError, match="grid"):
+            make_config(eg_method="bruteforce", eg_grid=1)
+        with pytest.raises(lab.StateSpecError, match="4 sites"):
+            make_config(eg_method="bruteforce", n_values=(4, 5))
+        with pytest.raises(lab.StateSpecError, match="qubit"):
+            make_config(ensemble_kind="cycle", n_values=(4,), local_dim=3)
+
+    def test_load_config_reads_local_dim_for_qudit_ensembles_only(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for kind, want in [("haar", 3), ("cycle", 2), ("subset", 2)]:
+            ens = {"kind": kind, "local_dim": 3, "k": 2}
+            path.write_text(json.dumps({"ensemble": ens, "n_values": [4], "samples": 1,
+                                        "seed": 0}))
+            assert lab.load_config(path).local_dim == want
 
     def test_load_config_needs_ensemble(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -335,12 +358,14 @@ class TestRunScaling:
             assert r.w_local == pytest.approx(0.0, abs=1e-9)
             assert r.best_protocol == "independent-set"
 
-    def test_torus_rejects_indivisible_n(self):
-        cfg = make_config(
-            ensemble_kind="square_torus", rows=3, n_values=(10,), samples=1, eg_method=None
-        )
-        with pytest.raises(ValueError):
-            lab.run_scaling(cfg)
+    def test_torus_rejects_indivisible_n(self, tmp_path):
+        # The config fails on N = 10 before run_scaling writes the N = 9 row.
+        out = tmp_path / "rows.csv"
+        with pytest.raises(lab.StateSpecError, match="not divisible"):
+            lab.run_scaling(lab.ExperimentConfig(ensemble_kind="square_torus", rows=3,
+                                                 n_values=(9, 10), samples=1, seed=0,
+                                                 output=str(out)))
+        assert not out.exists()
 
     def test_w_local_disabled_leaves_blank(self):
         cfg = make_config(w_local=False, eg_method=None, n_values=(2,), samples=1)
@@ -466,6 +491,35 @@ class TestRunTail:
             assert cells == {k: repr(v) for k, v in vars(row).items()}
 
 
+class NoConstructors:
+    """Stands in for the ensembles module: reaching any state constructor fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"ensembles.{name} was reached")
+
+
+CYCLE_5 = graphs.gen_lattice("cycle", (5,))
+SUPPORT_4 = ensembles.SubsetSpec(4, ("0000", "0110", "1011"))
+
+# One valid spec per family, loaded sources included; num_sites defaults to 4.
+GOOD_SPECS = [
+    ("ghz", dict(local_dim=3)),
+    ("zero", dict(local_dim=3)),
+    ("w", dict()),
+    ("plus", dict()),
+    ("haar", dict(seed=9, local_dim=3)),
+    ("circuit", dict(seed=9, depth=2)),
+    ("subset", dict(seed=9, k=3)),
+    ("subset", dict(source=SUPPORT_4)),
+    ("graph", dict(num_sites=5, source=CYCLE_5)),
+    ("random_graph", dict(seed=9)),
+    ("cycle", dict(num_sites=5)),
+    ("square_torus", dict(num_sites=9, rows=3)),
+    ("triangular_torus", dict(num_sites=12, rows=3)),
+    ("hexagonal", dict(num_sites=8, rows=2)),
+]
+
+
 class TestBuildState:
     def test_named_families(self):
         for kind, build in [
@@ -499,6 +553,13 @@ class TestBuildState:
         _, graph = lab.build_state("hexagonal", 8, rows=2)
         assert graph == graphs.gen_lattice("hexagonal", (2, 4))
 
+    @pytest.mark.parametrize("kind, kwargs", GOOD_SPECS)
+    def test_good_specs_pass_the_check(self, kind, kwargs):
+        spec = dict(num_sites=4) | kwargs
+        assert lab.check_state(kind, **spec) is None
+        state, _ = lab.build_state(kind, **spec)
+        assert state.num_sites == spec["num_sites"]
+
     @pytest.mark.parametrize(
         "kind, kwargs",
         [
@@ -509,11 +570,56 @@ class TestBuildState:
             ("subset", dict(k=2)),
             ("random_graph", dict()),
             ("ising", dict(seed=1)),
+            ("haar", dict(seed=-1)),
+            ("graph", dict(num_sites=5)),
+            ("graph", dict(num_sites=6, source=CYCLE_5)),
+            ("subset", dict(num_sites=3, source=SUPPORT_4)),
+            ("ghz", dict(num_sites=0)),
+            ("w", dict(num_sites=1)),
+            ("circuit", dict(num_sites=1, seed=1, depth=2)),
+            ("ghz", dict(local_dim=1)),
+            ("subset", dict(seed=1, k=2, local_dim=3)),
+            ("graph", dict(num_sites=5, source=CYCLE_5, local_dim=3)),
+            ("cycle", dict(num_sites=5, local_dim=3)),
+            ("ghz", dict(num_sites=25)),
+            ("haar", dict(num_sites=16, seed=1, local_dim=3)),
+            ("circuit", dict(seed=1)),
+            ("circuit", dict(seed=1, depth=-1)),
+            ("subset", dict(seed=1)),
+            ("subset", dict(num_sites=2, seed=1, k=5)),
+            ("subset", dict(seed=1, k=0)),
+            ("cycle", dict(num_sites=2)),
+            ("square_torus", dict(num_sites=9)),
+            ("square_torus", dict(num_sites=10, rows=3)),
+            ("square_torus", dict(num_sites=8, rows=2)),
+            ("triangular_torus", dict(num_sites=9, rows=1)),
+            ("hexagonal", dict(num_sites=10, rows=2)),
         ],
     )
-    def test_bad_specs_raise_value_error(self, kind, kwargs):
-        with pytest.raises(ValueError):
-            lab.build_state(kind, 4, **kwargs)
+    def test_bad_specs_raise_value_error(self, kind, kwargs, monkeypatch):
+        # check_state rejects exactly these specs, and build_state fails on
+        # them in check_state, before it reaches any state constructor.
+        spec = dict(num_sites=4) | kwargs
+        with pytest.raises(lab.StateSpecError):
+            lab.check_state(kind, **spec)
+        monkeypatch.setattr(lab, "ensembles", NoConstructors())
+        with pytest.raises(lab.StateSpecError):
+            lab.build_state(kind, **spec)
+
+    def test_check_allocates_nothing(self):
+        tracemalloc.start()
+        try:
+            # The state would take 256 MiB.
+            lab.check_state("haar", 24, seed=1)
+            with pytest.raises(lab.StateSpecError, match="dense cap"):
+                lab.check_state("haar", 40, seed=1)
+            # The integer 2**(10**7) alone would take 1.25 MB.
+            with pytest.raises(lab.StateSpecError, match="dense cap"):
+                lab.check_state("ghz", 10**7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestWorkReport:
