@@ -77,8 +77,9 @@ def _state_spec(args) -> dict:
 
 def _cmd_work(args) -> int:
     spec = _state_spec(args)
+    rng_seed = args.seed if args.seed is not None else 0
     lab._check_eg(args.eg_method, spec["num_sites"], args.local_dim,
-                  restarts=args.restarts, grid=args.grid)
+                  restarts=args.restarts, grid=args.grid, seed=rng_seed)
     state, graph = lab.build_state(**spec)
     report = lab.work_report(
         state,
@@ -86,7 +87,7 @@ def _cmd_work(args) -> int:
         eg_method=None if args.eg_method == "none" else args.eg_method,
         restarts=args.restarts,
         grid=args.grid,
-        rng_seed=args.seed if args.seed is not None else 0,
+        rng_seed=rng_seed,
     )
     print(f"sites {state.num_sites}")
     print(f"w_global {report.w_global!r}")
@@ -104,8 +105,9 @@ def _cmd_eg(args) -> int:
     spec = _state_spec(args)
     if args.method == "schmidt" and spec["num_sites"] < 2:
         raise UsageError("schmidt bound needs at least 2 sites")
+    rng_seed = args.seed if args.seed is not None else 0
     lab._check_eg(args.method, spec["num_sites"], args.local_dim,
-                  restarts=args.restarts, grid=args.grid)
+                  restarts=args.restarts, grid=args.grid, seed=rng_seed)
     state, _ = lab.build_state(**spec)
     if args.method == "schmidt":
         cut = tuple(_parse_int_list(args.cut))
@@ -119,7 +121,7 @@ def _cmd_eg(args) -> int:
         args.method,
         restarts=args.restarts,
         grid=args.grid,
-        rng_seed=args.seed if args.seed is not None else 0,
+        rng_seed=rng_seed,
     )
     print(f"eg_value {est.value!r}")
     print(f"eg_cert {est.certification}")
@@ -128,14 +130,21 @@ def _cmd_eg(args) -> int:
 
 
 def _cmd_protocol(args) -> int:
-    state, _ = lab.build_state(**_state_spec(args))
+    spec = _state_spec(args)
+    lab.check_state(**spec)
     protocol = locc.load_protocol(args.file)
-    if protocol.num_sites != state.num_sites:
+    if protocol.num_sites != spec["num_sites"]:
         raise UsageError(
-            f"protocol acts on {protocol.num_sites} sites but the state has {state.num_sites}"
+            f"protocol acts on {protocol.num_sites} sites but the state has {spec['num_sites']}"
+        )
+    if protocol.local_dim != spec["local_dim"]:
+        raise UsageError(
+            f"protocol measures sites of dimension {protocol.local_dim} but the state's "
+            f"have dimension {spec['local_dim']}"
         )
     if args.prune < 0 or args.prune > 1e-12:
         raise UsageError("--prune must lie in [0, 1e-12]")
+    state, _ = lab.build_state(**spec)
     tree = locc.execute(protocol, state, prune_below=args.prune)
     work = locc.protocol_work(tree)
     print(f"protocol {protocol.name}")

@@ -14,11 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from .graphs import Graph
 from .qstate import PureState, apply_two_site_vector, make_pure
+
+_COMPLEX_BYTES = 16
+# Byte cap on one sample_circuits chunk: its gate stack (S*G*d**4 entries)
+# plus its state stack (S*d**N entries).  The QR and the draw add a few
+# transient copies of the gate stack.
+_CIRCUIT_CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -71,15 +78,23 @@ def index_to_bitstring(index: int, num_sites: int, local_dim: int = 2) -> str:
     return "".join(str((index // local_dim**i) % local_dim) for i in range(num_sites))
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Ginibre matrix.
+def _haar_from_normals(x: np.ndarray) -> np.ndarray:
+    """Haar unitaries from standard normals x of shape (..., 2, m, m): real
+    parts x[..., 0, :, :], imaginary parts x[..., 1, :, :].
 
-    The R diagonal is rephased to make the distribution exactly invariant.
+    One stacked QR of the complex Ginibre matrices; each R diagonal is
+    rephased to make the distribution exactly invariant.
     """
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2)
+    z = (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-distributed unitary via QR of a complex Ginibre matrix whose
+    dim**2 real parts, then dim**2 imaginary parts, come from rng."""
+    return _haar_from_normals(rng.standard_normal((2, dim, dim)))
 
 
 def sample_haar(num_sites: int, local_dim: int = 2, seed: int = 0) -> PureState:
@@ -90,25 +105,48 @@ def sample_haar(num_sites: int, local_dim: int = 2, seed: int = 0) -> PureState:
     return PureState(num_sites, local_dim, v / np.linalg.norm(v))
 
 
-def sample_circuit(spec: CircuitSpec) -> PureState:
-    """Run the brickwork circuit on |0...0>.
+def sample_circuits(spec: CircuitSpec, count: int) -> Iterator[np.ndarray]:
+    """Yield the brickwork circuits seeded spec.rng_seed + i, i < count, run
+    on |0...0>, as (S, d**N) amplitude stacks in seed order.
 
-    Layer l couples pairs (i, i+1) for i = l%2, l%2 + 2, ... left to right;
-    gates are drawn in that order from a single generator seeded with
-    spec.rng_seed, so the circuit is reproducible.
+    Layer l couples pairs (i, i+1) for i = l%2, l%2 + 2, ... left to right.
+    Sample i draws its G gates from default_rng(spec.rng_seed + i) as one
+    standard_normal((G, 2, d**2, d**2)) block, which is the stream of
+    drawing gate by gate: d**4 real parts, then d**4 imaginary parts, per
+    gate in order.  A chunk of S samples runs together: one stacked QR for
+    its gates and one batched matmul per gate position.  S is sized so the
+    chunk's gate and state stacks stay within _CIRCUIT_CHUNK_BYTES; only a
+    sample whose gates alone exceed it draws them in several blocks.
     """
-    n, d = spec.num_sites, spec.local_dim
-    rng = np.random.default_rng(spec.rng_seed)
-    amps = np.zeros(d**n, dtype=complex)
-    amps[0] = 1.0
-    for layer in range(spec.depth):
-        for i in range(layer % 2, n - 1, 2):
-            gate = haar_unitary(d * d, rng)
-            amps = apply_two_site_vector(amps, n, d, i, gate)
-    nrm = np.linalg.norm(amps)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ArithmeticError(f"circuit lost normalization: norm {nrm}")
-    return make_pure(amps, n, d)
+    n, d, m = spec.num_sites, spec.local_dim, spec.local_dim**2
+    sites = [i for layer in range(spec.depth) for i in range(layer % 2, n - 1, 2)]
+    per_sample = _COMPLEX_BYTES * (len(sites) * m * m + d**n)
+    chunk = max(1, _CIRCUIT_CHUNK_BYTES // per_sample)
+    end = spec.rng_seed + count
+    for lo in range(spec.rng_seed, end, chunk):
+        rngs = [np.random.default_rng(s) for s in range(lo, min(lo + chunk, end))]
+        amps = np.zeros((len(rngs), d**n), dtype=complex)
+        amps[:, 0] = 1.0
+        step = max(1, _CIRCUIT_CHUNK_BYTES // (_COMPLEX_BYTES * m * m * len(rngs)))
+        for first in range(0, len(sites), step):
+            block = sites[first : first + step]
+            x = np.stack([rng.standard_normal((len(block), 2, m, m)) for rng in rngs])
+            gates = _haar_from_normals(x)
+            for k, site in enumerate(block):
+                amps = apply_two_site_vector(amps, n, d, site, gates[:, k])
+        nrm = np.linalg.norm(amps, axis=1)
+        bad = np.flatnonzero(np.abs(nrm - 1.0) > 1e-9)
+        if bad.size:
+            i = int(bad[0])
+            raise ArithmeticError(f"circuit seeded {lo + i} lost normalization: norm {nrm[i]}")
+        yield amps
+
+
+def sample_circuit(spec: CircuitSpec) -> PureState:
+    """The brickwork circuit seeded spec.rng_seed on |0...0>: the one-sample
+    case of sample_circuits."""
+    amps = next(sample_circuits(spec, 1))
+    return make_pure(amps[0], spec.num_sites, spec.local_dim)
 
 
 def graph_state(g: Graph) -> PureState:

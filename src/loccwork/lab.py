@@ -129,7 +129,7 @@ class ExperimentConfig:
         for n in self.n_values:
             check_state(**self._state_spec(n, self.seed))
             _check_eg(self.eg_method, n, self.local_dim, restarts=self.eg_restarts,
-                      grid=self.eg_grid)
+                      grid=self.eg_grid, seed=self.seed)
 
     def _state_spec(self, num_sites: int, seed: int) -> dict:
         """check_state / build_state keywords for one row."""
@@ -271,12 +271,17 @@ def _lattice_dims(kind: str, num_sites: int, rows: int | None) -> tuple:
     return (rows, num_sites // rows)
 
 
-def _check_eg(method, num_sites: int, local_dim: int, *, restarts: int, grid: int) -> None:
+def _check_eg(method, num_sites: int, local_dim: int, *, restarts: int, grid: int,
+              seed: int) -> None:
     """Raises StateSpecError where eg_estimate would reject its parameters on
-    a state of this size: alternating needs restarts >= 1, bruteforce needs
-    qubit sites, at most 4 of them, and grid >= 2; other methods pass."""
-    if method == "alternating" and restarts < 1:
-        raise StateSpecError("eg restarts must be >= 1")
+    a state of this size: alternating needs restarts >= 1 and a seed >= 0,
+    bruteforce needs qubit sites, at most 4 of them, and grid >= 2; other
+    methods pass."""
+    if method == "alternating":
+        if restarts < 1:
+            raise StateSpecError("eg restarts must be >= 1")
+        if seed < 0:
+            raise StateSpecError("the alternating eg search needs a seed >= 0")
     if method == "bruteforce":
         if local_dim != 2:
             raise StateSpecError("bruteforce exponent search handles qubit sites only")
@@ -437,10 +442,11 @@ def run_tail(
     else:
         if design_order is None or design_order < 1:
             raise ValueError("circuit tail needs design_order >= 1")
-        overlaps = np.empty(samples)
-        for i in range(samples):
-            spec = ensembles.CircuitSpec(num_sites, depth, seed + i)
-            overlaps[i] = abs(ensembles.sample_circuit(spec).amplitudes[0]) ** 2
+        # Sample i is the circuit seeded seed + i; chunks run batched.
+        spec = ensembles.CircuitSpec(num_sites, depth, seed)
+        overlaps = np.concatenate(
+            [np.abs(amps[:, 0]) ** 2 for amps in ensembles.sample_circuits(spec, samples)]
+        )
 
     out = []
     for alpha in alphas:

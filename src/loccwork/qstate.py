@@ -260,12 +260,15 @@ def apply_two_site_vector(
 
     The gate is a (d**2, d**2) matrix over the pair basis |z_site + d*z_{site+1}>,
     i.e. little-endian within the pair, matching the global convention.
+    Leading axes are batch axes that broadcast: amplitudes (..., d**N) and
+    gate (..., d**2, d**2), so a stack of S vectors takes one gate or S gates
+    in one batched matmul.
     """
     d = local_dim
     if site < 0 or site + 1 >= num_sites:
         raise ValueError(f"pair ({site}, {site + 1}) out of range")
-    if gate.shape != (d * d, d * d):
-        raise ValueError(f"gate shape {gate.shape}, expected ({d * d}, {d * d})")
-    t = amplitudes.reshape(d ** (num_sites - site - 2), d * d, d**site)
-    out = np.einsum("ij,ajb->aib", gate, t)
-    return out.reshape(-1)
+    if gate.shape[-2:] != (d * d, d * d):
+        raise ValueError(f"gate shape {gate.shape}, expected (..., {d * d}, {d * d})")
+    t = amplitudes.reshape(amplitudes.shape[:-1] + (d ** (num_sites - site - 2), d * d, d**site))
+    out = gate[..., None, :, :] @ t
+    return out.reshape(out.shape[:-3] + (-1,))

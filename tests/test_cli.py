@@ -90,6 +90,8 @@ class TestExitCodes:
         (None, ({"kind": "haar"}, [2, 3], {"eg": {"method": "bruteforce", "grid": 1}}),
          "grid >= 2"),
         (None, ({"kind": "haar", "local_dim": 1}, [2], {}), "usage error: local_dim must be >= 2"),
+        (("work", "--state", "ghz", "--n", "3", "--seed", "-1"), None, "seed >= 0"),
+        (("eg", "--state", "ghz", "--n", "3", "--seed", "-1"), None, "seed >= 0"),
     ])
     def test_spec_errors_exit_one_before_any_state_or_file(self, capsys, tmp_path, monkeypatch,
                                                            argv, config, message):
@@ -99,6 +101,7 @@ class TestExitCodes:
         # A build reached would exit 2 with this message instead.
         monkeypatch.setattr(lab, "build_state", no_build)
         monkeypatch.setattr(ensembles, "sample_circuit", no_build)
+        monkeypatch.setattr(ensembles, "sample_circuits", no_build)
         csv = tmp_path / "rows.csv"
         if config is not None:
             ensemble, n_values, estimators = config
@@ -246,6 +249,19 @@ class TestProtocol:
     def test_site_count_mismatch(self, capsys, tmp_path):
         path = self.write_protocol(tmp_path, "sites 2\nround Z Z\n")
         assert run(capsys, "protocol", "--file", path, "--state", "ghz", "--n", "3")[0] == 1
+
+    @pytest.mark.parametrize("state", [("ghz",), ("zero",), ("haar", "--seed", "1")])
+    def test_site_dimension_mismatch_exits_one_before_any_state(self, capsys, tmp_path,
+                                                               monkeypatch, state):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(lab, "build_state", no_build)
+        path = self.write_protocol(tmp_path, "sites 3\nround Z Z Z\n")
+        code, out, err = run(capsys, "protocol", "--file", path, "--state", *state, "--n", "3",
+                             "--local-dim", "3")
+        assert code == 1, err
+        assert out == "" and "usage error" in err and "dimension 2" in err
 
     def test_missing_file(self, capsys):
         assert run(capsys, "protocol", "--file", "/no/such.txt",

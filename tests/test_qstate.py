@@ -276,6 +276,34 @@ def test_apply_two_site_cnot_convention():
     assert abs(out[6] - 1.0) < 1e-14  # |z_1 = 1, z_2 = 1>
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("site", [0, 1, 2])
+@pytest.mark.parametrize("vec_batch, gate_batch", [
+    ((3,), (3,)), ((3,), ()), ((), (3,)), ((2, 3), (2, 3)), ((2, 3), (3,)),
+])
+def test_apply_two_site_batch_axes_match_kron(d, site, vec_batch, gate_batch):
+    # The gate on (site, site+1) of 4 sites is kron(I, U, I) in little-endian layout.
+    n, m = 4, d * d
+    rng = np.random.default_rng(10 * d + site)
+    vecs = rng.standard_normal(vec_batch + (d**n, 2)) @ np.array([1.0, 1j])
+    gates = rng.standard_normal(gate_batch + (m, m, 2)) @ np.array([1.0, 1j])
+    out = apply_two_site_vector(vecs, n, d, site, gates)
+    batch = np.broadcast_shapes(vec_batch, gate_batch)
+    assert out.shape == batch + (d**n,)
+    vecs, gates = np.broadcast_to(vecs, batch + (d**n,)), np.broadcast_to(gates, batch + (m, m))
+    for idx in np.ndindex(*batch):
+        full = np.kron(np.kron(np.eye(d ** (n - site - 2)), gates[idx]), np.eye(d**site))
+        assert np.abs(out[idx] - full @ vecs[idx]).max() < 1e-12
+
+
+def test_apply_two_site_rejects_bad_gate_and_pair():
+    v = np.zeros((2, 8), dtype=complex)
+    with pytest.raises(ValueError, match="gate shape"):
+        apply_two_site_vector(v, 3, 2, 0, np.eye(8))
+    with pytest.raises(ValueError, match="out of range"):
+        apply_two_site_vector(v, 3, 2, 2, np.eye(4))
+
+
 def test_subadditivity_of_marginals():
     for trial in range(20):
         s = random_pure(3, 2, seed=500 + trial)
