@@ -33,6 +33,7 @@ from .qstate import (
     site_entropies,
     site_marginals,
 )
+from .workbounds import _fix_phases
 
 COMPLETENESS_ATOL = 1e-9
 NULL_LABEL = "phi"
@@ -40,8 +41,8 @@ NULL_LABEL = "phi"
 # columns and one of its rows reproduces it to this fraction of its largest
 # entry.
 RANK_ONE_RTOL = 1e-13
-# Most memory a branch tree may take as dense complex vectors, checked
-# before each split and before leaf states are built from compact leaves.
+# Most memory a branch tree may take as complex amplitudes, residuals and
+# dense site columns; checked before each step and before building leaf states.
 BRANCH_BUDGET_BYTES = 1 << 29
 COMPLEX_BYTES = 16
 
@@ -104,12 +105,14 @@ class SiteMeasurement:
 
     Labels are distinct strings; sum K^dag K must equal the identity within
     1e-9.  The trivial measurement is the identity with label "phi".
-    rank_one holds the factors execute collapses a final round with (see
-    _rank_one_factors), or None when some operator is not rank-one.
+    rank_one holds the factors execute slices a site with (see
+    _rank_one_factors), or None when some operator is not rank-one;
+    identity is True for a lone identity operator, which execute skips.
     """
 
     ops: tuple
     rank_one: tuple | None = field(init=False, default=None, repr=False, compare=False)
+    identity: bool = field(init=False, default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ops:
@@ -138,6 +141,7 @@ class SiteMeasurement:
             raise ValueError("incomplete Kraus set: sum K^dag K != identity within 1e-9")
         object.__setattr__(self, "ops", tuple(ops))
         object.__setattr__(self, "rank_one", _rank_one_factors([m for _, m in ops]))
+        object.__setattr__(self, "identity", len(ops) == 1 and np.array_equal(m, np.eye(dim)))
 
     @property
     def local_dim(self) -> int:
@@ -196,71 +200,141 @@ class BranchNode:
     state: PureState
 
 
-@dataclass(frozen=True)
-class _DenseLeaves:
-    """Consecutive leaves stored as stacked, normalized state vectors."""
-
-    histories: tuple
-    vectors: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.histories)
-
-    def history(self, i: int) -> tuple:
-        return self.histories[i]
-
-    def all_histories(self) -> tuple:
-        return self.histories
-
-    def state(self, i: int) -> np.ndarray:
-        return self.vectors[i]
-
-    def residual_entropies(self, num_sites: int, local_dim: int) -> np.ndarray:
-        """Summed single-site entropies of each leaf."""
-        return site_entropies(site_marginals(self.vectors, num_sites, local_dim)).sum(axis=1)
+def _norm2(x: np.ndarray) -> np.ndarray:
+    """Squared norms over the (contiguous) last axis, with no temporary."""
+    v = x.view(np.float64)
+    return np.einsum("...i,...i->...", v, v)
 
 
 @dataclass(frozen=True)
-class _ProductLeaves:
-    """Leaves of one branch whose final round was rank-one on every site.
+class _Branches:
+    """Consecutive branches that took the same measurements in every round.
 
-    Leaf i is outcome index[i] (flat, site 0's outcome most significant) of
-    the final-round measurements; its state is the product of their unit
-    columns times phases[i], the phase of its outcome amplitude.
+    A branch's state is the product of one unit column per sliced site and
+    its residual over the open sites (little-endian).  sliced[s] is None for
+    an open site, the round of the last rank-one operator on it (its unit
+    column at the branch's outcome), or, after another operator, a (B, d)
+    array of unit columns.  outcomes[r] holds each branch's outcome index in
+    round r (see digits), in a dtype that holds the round's outcome count.
+    A residual's squared norm is its branch's probability until execute
+    normalizes the leaves.
     """
 
-    prefix: tuple
-    measurements: tuple
-    index: np.ndarray
-    phases: np.ndarray
+    rounds: tuple
+    outcomes: tuple
+    sliced: tuple
+    residual: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.index)
+        return len(self.residual)
 
-    def _outcomes(self, rows) -> tuple:
-        shape = tuple(len(m.ops) for m in self.measurements)
-        return np.unravel_index(self.index[rows], shape)
+    @property
+    def open_sites(self) -> list:
+        return [s for s, c in enumerate(self.sliced) if c is None]
 
-    def _history(self, outcome) -> tuple:
-        labels = tuple(m.ops[int(k)][0] for m, k in zip(self.measurements, outcome))
-        return self.prefix + (labels,)
+    def amplitudes(self) -> int:
+        return self.residual.size + sum(c.size for c in self.sliced if isinstance(c, np.ndarray))
 
-    def history(self, i: int) -> tuple:
-        return self._history(self._outcomes(i))
+    def columns(self, site: int, rows=slice(None)) -> np.ndarray:
+        c = self.sliced[site]
+        if isinstance(c, np.ndarray):
+            return c[rows]
+        return self.rounds[c][site].rank_one[1][self.digits(c, site, rows)]
 
-    def all_histories(self) -> tuple:
-        return tuple(self._history(o) for o in zip(*self._outcomes(slice(None))))
+    def digits(self, r: int, site: int, rows=slice(None)) -> np.ndarray:
+        """Outcome indices at a site in round r (site 0 the most significant digit)."""
+        counts = [len(m.ops) for m in self.rounds[r]]
+        digit = self.outcomes[r][rows] // math.prod(counts[site + 1 :]) % counts[site]
+        return np.asarray(digit, np.intp)
 
-    def state(self, i: int) -> np.ndarray:
+    def take(self, rows: slice, measurements: tuple) -> "_Branches":
+        """The given rows, with one more round of measurements to take."""
+        residual, total = self.residual[rows], math.prod(len(m.ops) for m in measurements)
+        fresh = np.zeros(len(residual), np.min_scalar_type(total))
+        outcomes = tuple(o[rows] for o in self.outcomes) + (fresh,)
+        sliced = tuple(c[rows] if isinstance(c, np.ndarray) else c for c in self.sliced)
+        return _Branches(self.rounds + (measurements,), outcomes, sliced, residual)
+
+    def histories(self, rows=slice(None)) -> list:
+        """One tuple of per-round label tuples per branch in rows."""
+        per_round = [zip(*([m.ops[k][0] for k in self.digits(r, s, rows).tolist()]
+                           for s, m in enumerate(meas)))
+                     for r, meas in enumerate(self.rounds)]
+        return list(zip(*per_round)) if per_round else [()] * len(self.residual[rows])
+
+    def state(self, i: int, local_dim: int) -> np.ndarray:
         """Dense vector of leaf i, site 0 the fastest index."""
-        amps = self.phases[i : i + 1]
-        for m, k in zip(self.measurements, self._outcomes(i)):
-            amps = np.kron(m.rank_one[1][k], amps)
-        return amps
+        vec = self.residual[i]
+        for s, c in enumerate(self.sliced):
+            if c is not None:  # site s goes above the s sites below it
+                vec = np.einsum("ab,j->ajb", vec.reshape(-1, local_dim**s), self.columns(s, i))
+        return vec.ravel()
 
-    def residual_entropies(self, num_sites: int, local_dim: int) -> np.ndarray:
-        """Product states: every residual entropy is 0 by construction."""
-        return np.zeros(len(self))
+
+def _step(branches: _Branches, rnd: int, site: int, m: SiteMeasurement, d: int,
+          prune_below: float, held: int) -> tuple:
+    """Measure one site of every branch: (children in outcome order, pruned mass).
+
+    A rank-one operator slices the site: its rows contract an open site out
+    of the residual, as out of the dense vector, so exact zeros stay exact,
+    or their overlaps with a sliced site's column scale the residual.  Any
+    other operator acts in one batched call on the residual, or on the
+    site's columns, whose new norms scale the residual.  held counts the
+    amplitudes of the rest of the tree.
+    """
+    count, rank_one = len(m.ops), m.rank_one is not None
+    sliced = list(branches.sliced)
+    column, width = sliced[site], branches.residual.shape[1]
+    dense = sum(isinstance(c, np.ndarray) for c in sliced)
+    if rank_one:
+        rows, _, weights = m.rank_one
+        sliced[site] = rnd
+        dense -= isinstance(column, np.ndarray)
+    else:
+        kraus = np.array([k for _, k in m.ops])
+        dense += isinstance(column, int)
+    if column is None:
+        open_sites = branches.open_sites
+        pos = open_sites.index(site)
+        width //= d if rank_one else 1
+        _check_budget(held + len(branches) * count * (width + d * dense), "measuring the branches")
+        if rank_one:
+            t = branches.residual.reshape(-1, d ** (len(open_sites) - pos - 1), d, d**pos)
+            grown = np.einsum("kj,bajc->bkac", rows, t).reshape(len(branches), count, width)
+            grown *= np.sqrt(weights)[:, np.newaxis]
+        else:
+            grown = apply_kraus_vector(
+                branches.residual[:, np.newaxis], len(open_sites), d, pos, kraus
+            )
+        probs = _norm2(grown).ravel()
+    else:
+        if rank_one:
+            factor = np.einsum("kj,bj->bk", rows, branches.columns(site)) * np.sqrt(weights)
+        else:
+            out = apply_kraus_vector(branches.columns(site)[:, np.newaxis], 1, d, 0, kraus)
+            factor = np.sqrt(_norm2(out))
+        probs = (_norm2(branches.residual)[:, np.newaxis] * np.abs(factor) ** 2).ravel()
+    keep = probs >= prune_below if prune_below else probs > 0.0
+    lost = float(probs[~keep].sum()) if prune_below else 0.0  # else dropped ones are 0
+    kept = int(np.count_nonzero(keep))
+    del probs  # freed before the children's arrays are built
+    parent = keep.nonzero()[0] // count
+    if column is not None:
+        _check_budget(held + kept * (width + d * dense), "measuring the branches")
+    sliced = [c[parent] if isinstance(c, np.ndarray) and s != site else c
+              for s, c in enumerate(sliced)]
+    if column is None:
+        residual = grown.reshape(-1, width)
+        residual = residual if kept == len(residual) else residual[keep]
+    else:
+        factor = factor.ravel()[keep, np.newaxis]
+        residual = branches.residual[parent] * factor
+        if not rank_one:
+            sliced[site] = out.reshape(-1, d)[keep] / factor
+    *earlier, current = branches.outcomes
+    grid = current[:, np.newaxis] * count + np.arange(count, dtype=current.dtype)
+    outcomes = tuple(o[parent] for o in earlier) + (grid.ravel()[keep],)
+    return _Branches(branches.rounds, outcomes, tuple(sliced), residual), lost
 
 
 class _LeafView(SequenceABC):
@@ -273,8 +347,7 @@ class _LeafView(SequenceABC):
         return len(self._tree.probabilities)
 
     def __getitem__(self, i: int) -> BranchNode:
-        tree = self._tree
-        count = len(self)
+        tree, count = self._tree, len(self)
         if i < 0:
             i += count
         if not 0 <= i < count:
@@ -284,9 +357,9 @@ class _LeafView(SequenceABC):
         block, row = tree.blocks[b], i - tree.offsets[b]
         state = tree.input_state
         return BranchNode(
-            block.history(row),
+            block.histories(slice(row, row + 1))[0],
             float(tree.probabilities[i]),
-            PureState(state.num_sites, state.local_dim, block.state(row)),
+            PureState(state.num_sites, state.local_dim, block.state(row, state.local_dim)),
         )
 
 
@@ -294,11 +367,9 @@ class _LeafView(SequenceABC):
 class BranchTree:
     """Leaves of a fully executed protocol, plus any pruned probability mass.
 
-    probabilities[i] is leaf i's probability.  The leaves stay compact in
-    blocks: stacked dense vectors, or, for a final round that was rank-one
-    on every site, outcome indices and phases.  tree.leaves is a sequence
-    of BranchNode that builds a leaf's state when the item is read; len()
-    builds nothing.
+    probabilities[i] is leaf i's probability.  The leaves stay compact, in
+    blocks (see _Branches); tree.leaves is a sequence of BranchNode that
+    builds a leaf's state when the item is read; len() builds nothing.
     """
 
     input_state: PureState
@@ -317,7 +388,7 @@ class BranchTree:
         return _LeafView(self)
 
     def histories(self) -> tuple:
-        return tuple(h for b in self.blocks for h in b.all_histories())
+        return tuple(h for b in self.blocks for h in b.histories())
 
     def outcome_distribution(self) -> dict:
         return dict(zip(self.histories(), self.probabilities.tolist()))
@@ -341,132 +412,72 @@ class ProtocolWork:
             raise ValueError("w_lambda must equal local_term - outcome_entropy")
 
 
-def _round_measurements(protocol: Protocol, rnd: int, history: tuple) -> list:
-    try:
-        meas = protocol.strategy(rnd, history)
-    except KeyError as exc:
-        raise ProtocolError(f"strategy undefined on history {history!r}: {exc}") from exc
-    if len(meas) != protocol.num_sites:
-        raise ProtocolError(
-            f"strategy returned {len(meas)} measurements for {protocol.num_sites} sites"
-        )
-    for m in meas:
-        if not isinstance(m, SiteMeasurement):
-            raise ProtocolError(f"strategy must return SiteMeasurement objects, got {type(m)}")
-        if m.local_dim != protocol.local_dim:
-            raise ProtocolError("measurement dimension does not match protocol")
-    return meas
-
-
-def _split(plans: list, n: int, d: int, prune_below: float) -> tuple[list, float]:
-    """One round of Kraus splits, site by site, on every planned branch.
-
-    plans holds (history, vector, measurements); returns the children as
-    (history, unnormalized vector, probability) in outcome order, with
-    site 0's label most significant, and the pruned mass.
-    """
-    partial = [(history, (), vec, meas, 1.0) for history, vec, meas in plans]
-    dropped = 0.0
-    for site in range(n):
-        _check_budget(sum(len(p[3][site].ops) for p in partial) * d**n, "splitting the branches")
-        grown = []
-        for history, labels, vec, meas, _ in partial:
-            for label, kraus in meas[site].ops:
-                out = apply_kraus_vector(vec, n, d, site, kraus)
-                prob = float(np.vdot(out, out).real)
-                if prob == 0.0:
-                    continue
-                if prob < prune_below:
-                    dropped += prob
-                    continue
-                grown.append((history, labels + (label,), out, meas, prob))
-        partial = grown
-    return [(history + (labels,), vec, prob) for history, labels, vec, _, prob in partial], dropped
-
-
-def _collapse(history: tuple, vec: np.ndarray, meas: list, n: int, d: int, prune_below: float):
-    """A final round that is rank-one on every site, in O(N d^N).
-
-    Each site's rows rotate the branch vector into outcome amplitudes; the
-    Born probabilities are their squared moduli times the column weights.
-    Returns (leaves, probabilities, pruned mass).
-    """
-    counts = [len(m.ops) for m in meas]
-    _check_budget(math.prod(counts), "collapsing a rank-one round")
-    amps, right = vec, 1
-    for site, m in enumerate(meas):
-        rows = m.rank_one[0]
-        amps = np.einsum("kj,ajb->akb", rows, amps.reshape(d ** (n - site - 1), d, right))
-        right *= len(rows)
-    # Axes run from site N-1 to site 0; reversing them puts site 0 first.
-    amps = amps.reshape(counts[::-1]).transpose(range(n - 1, -1, -1)).ravel()
-    weights = np.ones(1)
-    for m in meas:
-        weights = np.multiply.outer(weights, m.rank_one[2]).ravel()
-    probs = np.abs(amps) ** 2 * weights
-    low = (probs > 0.0) & (probs < prune_below)
-    index = np.flatnonzero((probs > 0.0) & ~low)
-    kept = amps[index]
-    leaves = _ProductLeaves(history, tuple(meas), index, kept / np.abs(kept))
-    return leaves, probs[index], float(probs[low].sum())
-
-
-def _dense_leaves(children: list, dropped: float) -> tuple:
-    """Stack _split's children into normalized rows: (leaves, probabilities,
-    pruned mass), as _collapse returns them."""
-    probs = np.array([prob for _, _, prob in children])
-    if not children:
-        return None, probs, dropped
-    vectors = np.stack([vec for _, vec, _ in children])
-    vectors /= np.sqrt(probs)[:, np.newaxis]
-    return _DenseLeaves(tuple(h for h, _, _ in children), vectors), probs, dropped
+def _batches(protocol: Protocol, rnd: int, branches: _Branches):
+    """Runs of consecutive branches for which the strategy picks the same
+    measurement objects in round rnd (0-based), each with that round added."""
+    plans = []
+    for history in branches.histories():
+        try:
+            plans.append(protocol.strategy(rnd + 1, history))
+        except KeyError as exc:
+            raise ProtocolError(f"strategy undefined on history {history!r}: {exc}") from exc
+    start = 0
+    for _, run in itertools.groupby(plans, key=lambda meas: tuple(map(id, meas))):
+        meas, size = plans[start], len(list(run))
+        if len(meas) != protocol.num_sites:
+            raise ProtocolError(
+                f"strategy returned {len(meas)} measurements for {protocol.num_sites} sites"
+            )
+        for m in meas:
+            if not isinstance(m, SiteMeasurement):
+                raise ProtocolError(f"strategy must return SiteMeasurement objects, got {type(m)}")
+            if m.local_dim != protocol.local_dim:
+                raise ProtocolError("measurement dimension does not match protocol")
+        yield branches.take(slice(start, start + size), tuple(meas))
+        start += size
 
 
 def execute(protocol: Protocol, state: PureState, prune_below: float = 0.0) -> BranchTree:
     """Expand the full branch tree of a protocol on a state.
 
-    Branches are split site by site within each round; a branch whose
-    probability is exactly zero is not an outcome and is silently removed,
-    while branches below prune_below (at most 1e-12) are removed with their
-    mass accounted in dropped_mass.  Leaf states are normalized.
+    Each round measures site by site, in batches of consecutive branches
+    that take the same measurements.  A rank-one operator (see
+    SiteMeasurement.rank_one), in any round, slices its site out of the
+    branch vector into its unit column, on which later operators act alone:
+    L branches cost O(L d^open), open sites being those never so measured.
 
-    A final round whose measurements are all rank-one (see
-    SiteMeasurement.rank_one) is not split: one rotation per site turns the
-    branch vector into the Born distribution, in O(N d^N) instead of
-    O(d^(2N)), and leaves whose probability is zero or below prune_below
-    are removed the same way.  Every other round splits dense vectors;
-    BranchBudgetError is raised before a split would exceed
-    BRANCH_BUDGET_BYTES.
+    A leaf is an outcome whose computed probability is above 0 and not
+    pruned: partial branches of probability exactly 0 are removed, and
+    those below prune_below (at most 1e-12) too, their mass accounted in
+    dropped_mass.  Leaf states are normalized.  BranchBudgetError is raised
+    before a step would take the tree's residuals and dense site columns
+    over BRANCH_BUDGET_BYTES.
     """
     if not 0.0 <= prune_below <= 1e-12:
         raise ValueError("prune_below must lie in [0, 1e-12]")
     if state.num_sites != protocol.num_sites or state.local_dim != protocol.local_dim:
         raise ValueError("state shape does not match protocol")
     n, d = state.num_sites, state.local_dim
-    branches = [((), state.amplitudes, 1.0)]
+    blocks = [_Branches((), (), (None,) * n, state.amplitudes[np.newaxis].copy())]
     dropped = 0.0
-    for rnd in range(1, protocol.num_rounds):
-        plans = [(h, vec, _round_measurements(protocol, rnd, h)) for h, vec, _ in branches]
-        branches, lost = _split(plans, n, d, prune_below)
-        dropped += lost
-    final = protocol.num_rounds
-    plans = [(h, vec, _round_measurements(protocol, final, h)) for h, vec, _ in branches]
-
-    # Consecutive dense branches split together; rank-one ones collapse.
-    blocks, probs = [], []
-    for rank_one, group in itertools.groupby(
-        plans, key=lambda plan: all(m.rank_one is not None for m in plan[2])
-    ):
-        if rank_one:
-            parts = [_collapse(*plan, n, d, prune_below) for plan in group]
-        else:
-            parts = [_dense_leaves(*_split(list(group), n, d, prune_below))]
-        for leaves, p, lost in parts:
-            dropped += lost
-            if len(p):
-                blocks.append(leaves)
-                probs.append(p)
-    probabilities = np.concatenate(probs) if probs else np.zeros(0)
+    for rnd in range(protocol.num_rounds):
+        batches = [batch for block in blocks for batch in _batches(protocol, rnd, block)]
+        # Amplitudes held by every branch but the batch being measured.
+        held, blocks = sum(b.amplitudes() for b in batches), []
+        for i in range(len(batches)):
+            batch, batches[i] = batches[i], None  # its arrays go once it is measured
+            held -= batch.amplitudes()
+            for site, m in enumerate(batch.rounds[-1]):
+                if len(batch) and not m.identity:
+                    batch, lost = _step(batch, rnd, site, m, d, prune_below, held)
+                    dropped += lost
+            if len(batch):
+                blocks.append(batch)
+                held += batch.amplitudes()
+    probs = [_norm2(b.residual) for b in blocks]
+    for b, p in zip(blocks, probs):
+        np.divide(b.residual, np.sqrt(p)[:, np.newaxis], out=b.residual)
+    probabilities = np.concatenate(probs or [np.zeros(0)])
     probabilities.flags.writeable = False
     return BranchTree(
         input_state=state,
@@ -478,7 +489,7 @@ def execute(protocol: Protocol, state: PureState, prune_below: float = 0.0) -> B
 
 
 def protocol_work(tree: BranchTree) -> ProtocolWork:
-    """Work figure of an executed protocol.
+    """Work figure of an executed protocol; sliced sites are pure.
 
     Requires an essentially complete tree (dropped mass below 1e-9).
     """
@@ -486,9 +497,9 @@ def protocol_work(tree: BranchTree) -> ProtocolWork:
         raise ValueError(f"tree dropped {tree.dropped_mass} probability; too lossy to score")
     n, d = tree.input_state.num_sites, tree.input_state.local_dim
     entropy = shannon_entropy(tree.probabilities)
-    residual = np.concatenate(
-        [b.residual_entropies(n, d) for b in tree.blocks] or [np.zeros(0)]
-    )
+    residual = np.concatenate([
+        site_entropies(site_marginals(b.residual, len(b.open_sites), d)).sum(axis=1)
+        if b.open_sites else np.zeros(len(b)) for b in tree.blocks] or [np.zeros(0)])
     local_term = n * float(np.log(d)) - float(tree.probabilities @ residual)
     return ProtocolWork(
         w_lambda=local_term - entropy,
@@ -498,20 +509,15 @@ def protocol_work(tree: BranchTree) -> ProtocolWork:
     )
 
 
-def _phase_fixed(v: np.ndarray) -> np.ndarray:
-    idx = int(np.argmax(np.abs(v)))
-    if abs(v[idx]) == 0.0:
-        return v
-    return v * (abs(v[idx]) / v[idx])
-
-
-def _eigenbasis(vals: np.ndarray, vecs: np.ndarray) -> SiteMeasurement:
-    """Projectors onto the eigenvectors of one marginal, largest first."""
-    ops = []
-    for rank, idx in enumerate(np.argsort(-vals, kind="stable")):
-        v = _phase_fixed(vecs[:, idx])
-        ops.append((f"e{rank}", np.outer(v, v.conj())))
-    return SiteMeasurement(tuple(ops))
+def _eigenbases(marginals: np.ndarray) -> list:
+    """One SiteMeasurement per marginal (..., d, d): projectors onto its
+    eigenvectors, largest eigenvalue first."""
+    bases = []
+    for vals, vecs in zip(*np.linalg.eigh(marginals)):
+        vectors = _fix_phases(vecs[:, np.argsort(-vals, kind="stable")].T)
+        ops = tuple((f"e{rank}", np.outer(v, v.conj())) for rank, v in enumerate(vectors))
+        bases.append(SiteMeasurement(ops))
+    return bases
 
 
 def refine_rank_one(protocol: Protocol, state: PureState) -> Protocol:
@@ -524,29 +530,25 @@ def refine_rank_one(protocol: Protocol, state: PureState) -> Protocol:
     state, so the refined protocol is specific to it; executing it on other
     states raises on unseen histories.
 
-    A leaf of a collapsed final round is a product of the unit columns of
-    its outcomes, so its site eigenbases follow from its labels alone.  They
-    are looked up by label for every outcome of that round, including those
-    of probability exactly 0: the refined protocol splits the round densely,
-    and may reach such an outcome at rounding level (about 1e-33).
+    The eigenbases come from the leaf blocks: open sites from the marginals
+    of the residuals, sliced sites from their distinct columns (few, for a
+    rank-one site).  Executing the refined protocol repeats the same
+    arithmetic, so it reaches exactly the leaves found here.
     """
     tree = execute(protocol, state)
     n, d = protocol.num_sites, protocol.local_dim
     by_history: dict = {}
-    by_prefix: dict = {}
     for block in tree.blocks:
-        if isinstance(block, _DenseLeaves):
-            vals, vecs = np.linalg.eigh(site_marginals(block.vectors, n, d))
-            for history, leaf_vals, leaf_vecs in zip(block.histories, vals, vecs):
-                by_history[history] = [_eigenbasis(w, v) for w, v in zip(leaf_vals, leaf_vecs)]
-        else:
-            per_site = []
-            for m in block.measurements:
-                units = m.rank_one[1]
-                vals, vecs = np.linalg.eigh(np.einsum("ki,kj->kij", units, units.conj()))
-                bases = [_eigenbasis(w, v) for w, v in zip(vals, vecs)]
-                per_site.append({label: basis for (label, _), basis in zip(m.ops, bases)})
-            by_prefix[block.prefix] = per_site
+        per_site = [None] * n
+        marginals = site_marginals(block.residual, len(block.open_sites), d)
+        for j, s in enumerate(block.open_sites):
+            per_site[s] = _eigenbases(marginals[:, j])
+        for s in set(range(n)) - set(block.open_sites):
+            cols, inverse = np.unique(block.columns(s), axis=0, return_inverse=True)
+            bases = _eigenbases(np.einsum("bi,bj->bij", cols, cols.conj()))
+            per_site[s] = [bases[k] for k in inverse.ravel().tolist()]
+        for i, history in enumerate(block.histories()):
+            by_history[history] = [bases[i] for bases in per_site]
 
     base_strategy = protocol.strategy
     base_rounds = protocol.num_rounds
@@ -554,10 +556,7 @@ def refine_rank_one(protocol: Protocol, state: PureState) -> Protocol:
     def strategy(rnd: int, history: tuple) -> list:
         if rnd <= base_rounds:
             return base_strategy(rnd, history)
-        if history in by_history:
-            return by_history[history]
-        per_site = by_prefix[history[:-1]]
-        return [bases[label] for bases, label in zip(per_site, history[-1])]
+        return by_history[history]
 
     return Protocol(
         num_sites=n,

@@ -229,15 +229,20 @@ def overlap(a: PureState, b: PureState) -> complex:
 def apply_kraus_vector(
     amplitudes: np.ndarray, num_sites: int, local_dim: int, site: int, kraus: np.ndarray
 ) -> np.ndarray:
-    """Apply a single-site operator to a raw (possibly unnormalized) vector."""
+    """Apply a single-site operator to a raw (possibly unnormalized) vector.
+
+    Leading axes are batch axes that broadcast: amplitudes (..., d**N) and
+    kraus (..., d, d), so B vectors of shape (B, 1, d**N) take a set of k
+    operators (k, d, d) in one call, giving (B, k, d**N).
+    """
     d = local_dim
-    if kraus.shape != (d, d):
-        raise ValueError(f"Kraus operator shape {kraus.shape}, expected ({d}, {d})")
+    if kraus.shape[-2:] != (d, d):
+        raise ValueError(f"Kraus operator shape {kraus.shape}, expected (..., {d}, {d})")
     if not 0 <= site < num_sites:
         raise ValueError(f"site {site} out of range")
-    t = amplitudes.reshape(d ** (num_sites - site - 1), d, d**site)
-    out = np.einsum("ij,ajb->aib", kraus, t)
-    return out.reshape(-1)
+    t = amplitudes.reshape(amplitudes.shape[:-1] + (d ** (num_sites - site - 1), d, d**site))
+    out = np.einsum("...ij,...ajb->...aib", kraus, t)
+    return out.reshape(out.shape[:-3] + (-1,))
 
 
 def apply_kraus(state: PureState, site: int, kraus: np.ndarray) -> tuple[np.ndarray, float]:

@@ -68,6 +68,19 @@ class TestExitCodes:
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "work", "--n", "3")[0] == 1
 
+    def test_module_form_runs_the_cli(self):
+        src = str(Path(loccwork.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+
+        def module(*argv):
+            return subprocess.run([sys.executable, "-m", "loccwork.cli", *argv],
+                                  capture_output=True, text=True, timeout=120, env=env)
+
+        result = module("work", "--state", "ghz", "--n", "2", "--eg-method", "none")
+        assert result.returncode == 0, result.stderr
+        assert "sites 2" in result.stdout.splitlines()
+        assert module("work", "--state", "ghz", "--n", "2", "--frobnicate").returncode == 1
+
     def test_semantic_error_exits_one(self, capsys):
         code, _, err = run(capsys, "eg", "--state", "haar", "--n", "30", "--seed", "1",
                            "--method", "bruteforce")

@@ -3,10 +3,12 @@
 ``oracle_execute`` and ``oracle_protocol_work`` are that earlier engine,
 kept here as the reference: one dense vector per branch, split site by site
 in every round, and every leaf scored through one checked ``reduced_density``
-per site.  ``execute`` now collapses a final round that is rank-one on every
-site into per-site rotations and scores dense leaves with the batched
-``site_marginals`` / ``site_entropies`` kernel; these tests hold it to the
-reference on random static and adaptive protocols.
+per site.  ``execute`` now measures batches of branches site by site: a
+rank-one operator, in any round, slices its site out of the branch vector
+into a known product factor, other operators act in one batched call, and
+the open sites of the leaves are scored with the batched ``site_marginals``
+/ ``site_entropies`` kernel.  These tests hold it to the reference on random
+static and adaptive protocols.
 """
 
 import zlib
@@ -226,7 +228,7 @@ def test_adaptive_protocols_match_oracle(prune_below):
     for trial in range(20):
         n = int(rng.integers(1, 4))
         rounds = int(rng.integers(1, 4))
-        # Mixed menus make some final-round branches collapse and others not.
+        # Mixed menus leave some final-round branches with open sites and others not.
         menus = [full_menu(rng) for _ in range(rounds)]
         if trial % 2:
             menus[-1] = rank_one_menu(rng)
@@ -331,24 +333,25 @@ def test_leaf_count_builds_no_states(monkeypatch):
     assert protocol_work(tree).leaf_count == 256
     with pytest.raises(BranchBudgetError):
         tree.leaves[0]
-    # Refining reads eigenbases off the labels and builds no leaf states;
-    # executing the refined protocol splits the Z round densely.
+    # Refining reads eigenbases off the outcome indices and builds no leaf
+    # states; the refined round measures sliced sites, so it stays compact.
     refined = refine_rank_one(subset_protocol(8), state)
-    with pytest.raises(BranchBudgetError):
-        execute(refined, state)
+    assert len(execute(refined, state).leaves) == 256
+    monkeypatch.undo()
+    assert_matches_oracle(refined, state)
 
 
 def test_refine_covers_outcomes_the_collapse_found_impossible():
     """Two sites measured in their Schmidt bases: outcome (e0, e1) has
-    probability exactly 0, which the collapse finds and the dense split of
-    the same round, once it is no longer final, leaves at about 1e-33."""
+    probability exactly 0.  A round is measured the same way whether it is
+    final or not, so refining again reaches exactly the leaves found."""
     state = random_state(2, 0)
     once = refine_rank_one(static_protocol([[weak(), weak()]]), state)
     collapsed = execute(once, state)
     twice = refine_rank_one(once, state)
     tree = execute(twice, state)
     reached = {h[:2] for h in tree.histories()}
-    assert len(reached) == len(collapsed.leaves) + 1
+    assert len(reached) == len(collapsed.leaves)
     assert abs(protocol_work(tree).w_lambda - protocol_work(collapsed).w_lambda) <= 1e-9
 
 
@@ -364,3 +367,71 @@ def test_collapse_over_budget_raises(monkeypatch):
         execute(static_protocol([[trine()] * 6]), random_state(6, 3))
     monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", 3**6 * 16)
     assert len(execute(static_protocol([[trine()] * 6]), random_state(6, 3)).leaves) == 3**6
+
+
+def test_rank_one_sites_slice_in_every_round(monkeypatch):
+    """Z on half the sites, then Z on the other half: each branch keeps
+    only its open sites, so the tree never holds more than 2^16 amplitudes,
+    and it equals the one-round all-Z tree."""
+    monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", 16 << 20)
+    state = random_state(16, 4)
+    z, null = SiteMeasurement.z_basis(), SiteMeasurement.null()
+    tree = execute(static_protocol([[z] * 8 + [null] * 8, [null] * 8 + [z] * 8]), state)
+    once = execute(subset_protocol(16), state)
+    assert len(tree.leaves) == len(once.leaves)
+    assert np.abs(tree.probabilities - once.probabilities).max() <= 1e-12
+    work, want = protocol_work(tree), protocol_work(once)
+    assert abs(work.w_lambda - want.w_lambda) <= TOL
+    assert abs(work.local_term - want.local_term) <= TOL
+    assert abs(work.outcome_entropy - want.outcome_entropy) <= TOL
+
+
+def test_budget_counts_dense_site_columns(monkeypatch):
+    """A weak round after a Z round leaves 2^16 leaves of one residual
+    amplitude (1 MiB) but eight dense site columns each (16 MiB)."""
+    monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", 4 << 20)
+    proto = static_protocol([[SiteMeasurement.z_basis()] * 8, [weak()] * 8])
+    with pytest.raises(BranchBudgetError):
+        execute(proto, random_state(8, 5))
+
+
+def test_trailing_rounds_keep_the_leaves():
+    """One leaf rule on one path: a round measures the same way whether a
+    null round follows it or not."""
+    rng = np.random.default_rng(16)
+    for trial in range(6):
+        menus = [full_menu(rng), rank_one_menu(rng)]
+        proto = static_random(rng, 3, 2, menus)
+        state = random_state(3, 1000 + trial)
+        padded = static_protocol([proto.strategy(1, ()), proto.strategy(2, ()),
+                                  [SiteMeasurement.null()] * 3])
+        want, got = execute(proto, state), execute(padded, state)
+        assert np.array_equal(got.probabilities, want.probabilities)
+        assert [h[:2] for h in got.histories()] == list(want.histories())
+
+
+def test_outcome_index_dtype_holds_the_outcome_count():
+    """256 outcomes in a round, the first count past uint8, whether spread
+    over eight Z sites or held by one site: histories, a following round
+    and the work figures still match the oracle."""
+    z, null = SiteMeasurement.z_basis(), SiteMeasurement.null()
+    wide = SiteMeasurement(z.ops + tuple((f"z{k}", np.zeros((2, 2))) for k in range(2, 256)))
+    state = random_state(9, 7)
+    spread = [null] + [z] * 8
+    assert_matches_oracle(static_protocol([spread]), state)
+    assert_matches_oracle(static_protocol([spread, [weak()] + [null] * 8]), state)
+    assert_matches_oracle(static_protocol([[wide] + [null] * 8, spread]), state)
+
+
+def test_outcome_indices_past_64_bits():
+    """700 outcomes (698 of them zero operators) on each of 7 sites: the
+    round's index space passes 2^64, yet histories and states stay exact."""
+    zeros = tuple((f"z{k}", np.zeros((2, 2))) for k in range(2, 700))
+    padded = SiteMeasurement(SiteMeasurement.z_basis().ops + zeros)
+    state = random_state(7, 6)
+    tree = execute(static_protocol([[padded] * 7]), state)
+    want = execute(subset_protocol(7), state)
+    assert tree.histories() == want.histories()
+    assert np.allclose(tree.probabilities, want.probabilities, rtol=1e-14, atol=0)
+    for i in (0, 77, 127):
+        assert np.allclose(tree.leaves[i].state.amplitudes, want.leaves[i].state.amplitudes)

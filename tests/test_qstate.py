@@ -12,6 +12,7 @@ from loccwork.qstate import (
     PureState,
     SiteSubset,
     apply_kraus,
+    apply_kraus_vector,
     apply_two_site_vector,
     make_pure,
     overlap,
@@ -250,6 +251,35 @@ def test_apply_kraus_unitary_preserves_norm():
     for site in range(3):
         _, prob = apply_kraus(s, site, h)
         assert abs(prob - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("site", [0, 1, 2])
+@pytest.mark.parametrize("vec_batch, op_batch", [
+    ((3, 1), (2,)), ((3,), ()), ((), (3,)), ((2, 3), (3,)),
+])
+def test_apply_kraus_batch_axes_match_kron(d, site, vec_batch, op_batch):
+    # The operator on site `site` of 3 sites is kron(I, K, I) in little-endian layout.
+    n = 3
+    rng = np.random.default_rng(10 * d + site)
+    vecs = rng.standard_normal(vec_batch + (d**n, 2)) @ np.array([1.0, 1j])
+    ops = rng.standard_normal(op_batch + (d, d, 2)) @ np.array([1.0, 1j])
+    out = apply_kraus_vector(vecs, n, d, site, ops)
+    batch = np.broadcast_shapes(vec_batch, op_batch)
+    assert out.shape == batch + (d**n,)
+    vecs, ops = np.broadcast_to(vecs, batch + (d**n,)), np.broadcast_to(ops, batch + (d, d))
+    for idx in np.ndindex(*batch):
+        full = np.kron(np.kron(np.eye(d ** (n - site - 1)), ops[idx]), np.eye(d**site))
+        assert np.abs(out[idx] - full @ vecs[idx]).max() < 1e-12
+        assert np.array_equal(out[idx], apply_kraus_vector(vecs[idx], n, d, site, ops[idx]))
+
+
+def test_apply_kraus_rejects_bad_operator_and_site():
+    v = np.zeros(8, dtype=complex)
+    with pytest.raises(ValueError):
+        apply_kraus_vector(v, 3, 2, 0, np.eye(3))
+    with pytest.raises(ValueError):
+        apply_kraus_vector(v, 3, 2, 3, np.eye(2))
 
 
 def test_complete_kraus_probabilities_sum_to_one():
