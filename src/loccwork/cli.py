@@ -17,6 +17,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -291,10 +292,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser cli_main reuses; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def cli_main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help and 2 for bad usage; bad usage is 1 here.
         return 0 if exc.code == 0 else 1

@@ -437,7 +437,7 @@ def run_tail(
                 for lo in range(0, m, chunk):
                     x = rng.standard_normal((min(chunk, m - lo), dim))
                     first[lo : lo + len(x)] += x[:, 0] ** 2
-                    total[lo : lo + len(x)] += (x**2).sum(axis=1)
+                    total[lo : lo + len(x)] += np.einsum("ij,ij->i", x, x)
             overlaps[start : start + m] = first / total
     else:
         if design_order is None or design_order < 1:

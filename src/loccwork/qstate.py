@@ -19,6 +19,9 @@ import numpy as np
 NORM_ATOL = 1e-10
 HERMITIAN_ATOL = 1e-10
 EIG_CLAMP = 1e-12
+# Byte cap on one site_marginals chunk (whole rows, at least one): small
+# enough that every site's passes over it read from L2.
+_MARGINAL_CHUNK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -170,21 +173,30 @@ def site_marginals(vectors: np.ndarray, num_sites: int, local_dim: int) -> np.nd
     [l, n] being the partial trace of |v_l><v_l| onto site n.  This is the
     batched kernel behind w_local and protocol scoring, so it validates
     nothing; reduced_density is the checked single-state entry point.
+
+    The stack is walked in chunks of whole rows within _MARGINAL_CHUNK_BYTES
+    (at least one row), so every site's passes over a chunk stay in cache and
+    only the chunk is conjugated.  Diagonal entries are real dot products
+    over the chunk's float64 view; each pair i > j takes one complex einsum.
     """
     n, d = num_sites, local_dim
-    count = vectors.shape[0]
-    conj = vectors.conj()
+    count, dim = vectors.shape
     out = np.empty((count, n, d, d), dtype=complex)
-    for site in range(n):
-        shape = (count, d ** (n - site - 1), d, d**site)
-        t, tc = vectors.reshape(shape), conj.reshape(shape)
-        for i in range(d):
-            for j in range(i + 1):
-                entry = np.einsum("lab,lab->l", t[:, :, i], tc[:, :, j])
-                if i == j:
-                    entry = entry.real
-                out[:, site, i, j] = entry
-                out[:, site, j, i] = entry.conj()
+    rows = max(1, _MARGINAL_CHUNK_BYTES // (16 * dim))
+    for lo in range(0, count, rows):
+        chunk = np.ascontiguousarray(vectors[lo : lo + rows], dtype=complex)
+        c, conj, flat = len(chunk), chunk.conj(), chunk.view(float)
+        for site in range(n):
+            shape = (c, d ** (n - site - 1), d, d**site)
+            t, tc = chunk.reshape(shape), conj.reshape(shape)
+            f = flat.reshape(c, shape[1], d, 2 * d**site)
+            block = out[lo : lo + c, site]
+            for i in range(d):
+                block[:, i, i] = np.einsum("lak,lak->l", f[:, :, i], f[:, :, i])
+                for j in range(i):
+                    entry = np.einsum("lab,lab->l", t[:, :, i], tc[:, :, j])
+                    block[:, i, j] = entry
+                    block[:, j, i] = entry.conj()
     return out
 
 

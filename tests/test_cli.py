@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import loccwork
-from loccwork import ensembles, graphs, lab, locc
-from loccwork.cli import cli_main
+from loccwork import cli, ensembles, graphs, lab, locc
+from loccwork.cli import build_parser, cli_main
 
 LN2 = 0.6931471805599453
 
@@ -67,6 +67,22 @@ class TestExitCodes:
 
     def test_missing_required_flag(self, capsys):
         assert run(capsys, "work", "--n", "3")[0] == 1
+
+    def test_one_parser_serves_every_call(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        work = ("work", "--state", "ghz", "--n", "3", "--eg-method", "none")
+        try:
+            code, first, _ = run(capsys, *work)
+            assert code == 0
+            assert run(capsys, "work", "--state", "ghz", "--frobnicate")[0] == 1
+            code, out, _ = run(capsys, "--help")
+            assert code == 0 and "work" in out
+            assert run(capsys, *work)[:2] == (0, first)
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
 
     def test_module_form_runs_the_cli(self):
         src = str(Path(loccwork.__file__).resolve().parents[1])

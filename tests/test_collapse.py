@@ -11,13 +11,14 @@ the open sites of the leaves are scored with the batched ``site_marginals``
 static and adaptive protocols.
 """
 
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 from conftest import random_measurement, random_state
-from loccwork import locc
+from loccwork import locc, qstate
 from loccwork.ensembles import ghz_state, graph_state, plus_state, sample_subset, subset_state
 from loccwork.graphs import gen_lattice
 from loccwork.locc import (
@@ -299,18 +300,58 @@ def test_qutrit_protocols_match_oracle():
 # Batched kernel against the checked single-state path
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_site_kernel_matches_reduced_density(d):
-    n = 4 if d == 2 else 3
-    states = [random_state(n, 900 + k, local_dim=d) for k in range(5)]
-    marginals = site_marginals(np.stack([s.amplitudes for s in states]), n, d)
+def _stack(amps, layout):
+    """The (L, D) stack in a given memory layout."""
+    if layout == "strided":
+        # Every other column of a wider array: no row is contiguous.
+        wide = np.zeros((amps.shape[0], 2 * amps.shape[1]), dtype=complex)
+        wide[:, ::2] = amps
+        return wide[:, ::2]
+    if layout == "readonly":
+        amps.setflags(write=False)
+    return amps
+
+
+@pytest.mark.parametrize(
+    "d, n, count, chunk_rows, layout",
+    [
+        pytest.param(2, 4, 5, None, "contiguous", id="2"),
+        pytest.param(3, 3, 5, None, "contiguous", id="3"),
+        pytest.param(2, 4, 7, 3, "contiguous", id="ragged-chunks"),  # 3, 3 and 1 rows
+        pytest.param(3, 3, 5, 2, "contiguous", id="qutrit-chunks"),  # 2, 2 and 1 rows
+        pytest.param(2, 5, 3, 0.5, "contiguous", id="row-over-chunk"),
+        pytest.param(2, 4, 7, 3, "strided", id="strided-chunks"),
+        pytest.param(3, 3, 5, None, "strided", id="qutrit-strided"),
+        pytest.param(2, 4, 7, 3, "readonly", id="readonly-chunks"),
+    ],
+)
+def test_site_kernel_matches_reduced_density(monkeypatch, d, n, count, chunk_rows, layout):
+    if chunk_rows is not None:
+        monkeypatch.setattr(qstate, "_MARGINAL_CHUNK_BYTES", int(chunk_rows * 16 * d**n))
+    states = [random_state(n, 900 + k, local_dim=d) for k in range(count)]
+    marginals = site_marginals(_stack(np.stack([s.amplitudes for s in states]), layout), n, d)
     entropies = site_entropies(marginals)
-    assert marginals.shape == (5, n, d, d) and entropies.shape == (5, n)
+    assert marginals.shape == (count, n, d, d) and entropies.shape == (count, n)
     for s, leaf_marginals, leaf_entropies in zip(states, marginals, entropies):
         for site in range(n):
             rho = reduced_density(s, [site])
             assert np.allclose(leaf_marginals[site], rho.matrix, atol=1e-12, rtol=0)
             assert abs(leaf_entropies[site] - von_neumann_entropy(rho)) <= 1e-12
+
+
+def test_site_kernel_allocates_chunks_not_a_stack_copy():
+    # 256 leaves x 2^12 amplitudes = 16 MiB; the kernel may hold its output
+    # and a few chunks, not a conjugate copy of the whole stack.
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((256, 2**12)) + 1j * rng.standard_normal((256, 2**12))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = site_marginals(stack, 12, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * qstate._MARGINAL_CHUNK_BYTES
 
 
 def test_site_kernel_on_product_and_maximally_mixed_marginals():
