@@ -104,14 +104,20 @@ def _cmd_work(args) -> int:
 
 def _cmd_eg(args) -> int:
     spec = _state_spec(args)
-    if args.method == "schmidt" and spec["num_sites"] < 2:
-        raise UsageError("schmidt bound needs at least 2 sites")
+    n = spec["num_sites"]
+    if args.method == "schmidt":
+        cut = tuple(_parse_int_list(args.cut))
+        if (not cut or any(b <= a for a, b in zip(cut, cut[1:])) or cut[0] < 0
+                or cut[-1] >= n or len(cut) >= n):
+            raise UsageError(
+                f"--cut must list sites of 0..{n - 1} in increasing order, at least one "
+                f"and not all of them; got {args.cut!r}"
+            )
     rng_seed = args.seed if args.seed is not None else 0
-    lab._check_eg(args.method, spec["num_sites"], args.local_dim,
+    lab._check_eg(args.method, n, args.local_dim,
                   restarts=args.restarts, grid=args.grid, seed=rng_seed)
     state, _ = lab.build_state(**spec)
     if args.method == "schmidt":
-        cut = tuple(_parse_int_list(args.cut))
         value = workbounds.eg_schmidt(state, cut)
         cert = workbounds.CERT_SCHMIDT if state.num_sites == 2 else "cut_lower_bound"
         print(f"eg_value {value!r}")
@@ -163,9 +169,7 @@ def _cmd_scaling(args) -> int:
     if cfg.output:
         print(f"wrote {len(rows)} rows to {cfg.output}")
     else:
-        print(lab.CSV_HEADER)
-        for row in rows:
-            print(lab.row_to_csv(row))
+        lab.write_csv(lab.ResultRow, rows, sys.stdout)
     if cfg.w_local and len(cfg.n_values) >= 2:
         means = [
             float(np.mean([r.w_local for r in rows if r.n == n])) for n in cfg.n_values
@@ -194,9 +198,7 @@ def _cmd_tail(args) -> int:
         lab.tail_to_csv(rows, args.output)
         print(f"wrote {len(rows)} rows to {args.output}")
     else:
-        print(lab.TAIL_CSV_HEADER)
-        for r in rows:
-            print(lab.row_to_csv(r))
+        lab.write_csv(lab.TailRow, rows, sys.stdout)
     return 0
 
 
@@ -235,8 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("alternating", "bruteforce", "none"),
         help="exponent estimator for the upper bound",
     )
-    p_work.add_argument("--restarts", type=int, default=32)
-    p_work.add_argument("--grid", type=int, default=24)
+    p_work.add_argument("--restarts", type=int, default=workbounds.DEFAULT_RESTARTS)
+    p_work.add_argument("--grid", type=int, default=workbounds.DEFAULT_GRID)
     p_work.set_defaults(func=_cmd_work)
 
     p_eg = sub.add_parser("eg", help="product-overlap exponent estimate")
@@ -246,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="alternating",
         choices=("alternating", "bruteforce", "schmidt"),
     )
-    p_eg.add_argument("--restarts", type=int, default=32)
-    p_eg.add_argument("--grid", type=int, default=24)
+    p_eg.add_argument("--restarts", type=int, default=workbounds.DEFAULT_RESTARTS)
+    p_eg.add_argument("--grid", type=int, default=workbounds.DEFAULT_GRID)
     p_eg.add_argument("--cut", default="0", help="comma-separated sites (schmidt only)")
     p_eg.set_defaults(func=_cmd_eg)
 

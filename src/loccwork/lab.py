@@ -43,7 +43,16 @@ Z_99 = 2.5758293035489004
 
 GRAPH_KINDS = ("cycle", "square_torus", "triangular_torus", "hexagonal", "random_graph")
 ENSEMBLE_KINDS = ("haar", "circuit", "subset") + GRAPH_KINDS
-PROTOCOL_NAMES = ("null", "computational", "independent-set", "refined-null")
+# The protocol menu: each name's builder from (state, graph), in the order
+# of the standard menu.
+_PROTOCOLS = {
+    "null": lambda state, graph: locc.null_protocol(state.num_sites, state.local_dim),
+    "computational": lambda state, graph: locc.subset_protocol(state.num_sites, state.local_dim),
+    "independent-set": lambda state, graph: locc.independent_set_protocol(graph),
+    "refined-null": lambda state, graph: locc.refine_rank_one(
+        _PROTOCOLS["null"](state, graph), state),
+}
+PROTOCOL_NAMES = tuple(_PROTOCOLS)
 EG_METHODS = ("alternating", "bruteforce")
 
 _SUBSET_K_RULE = re.compile(r"^2\^\(N/([1-9]\d*)\)$")
@@ -99,8 +108,8 @@ class ExperimentConfig:
     subset_k: int | str | None = None
     w_local: bool = True
     eg_method: str | None = None
-    eg_restarts: int = 32
-    eg_grid: int = 24
+    eg_restarts: int = workbounds.DEFAULT_RESTARTS
+    eg_grid: int = workbounds.DEFAULT_GRID
     protocols: tuple = ("null",)
 
     def __post_init__(self) -> None:
@@ -119,13 +128,8 @@ class ExperimentConfig:
             raise ValueError(f'bad k rule {self.subset_k!r}; use an int or "2^(N/D)"')
         if self.eg_method is not None and self.eg_method not in EG_METHODS:
             raise ValueError(f"unknown eg method {self.eg_method!r}")
-        bad = set(self.protocols) - set(PROTOCOL_NAMES)
-        if bad:
-            raise ValueError(f"unknown protocols {sorted(bad)}")
-        if "independent-set" in self.protocols and self.ensemble_kind not in GRAPH_KINDS:
-            raise ValueError("independent-set protocol requires a graph ensemble")
-        protos = tuple(dict.fromkeys(("null",) + tuple(self.protocols)))
-        object.__setattr__(self, "protocols", protos)
+        menu = _protocol_menu(self.protocols, self.ensemble_kind in GRAPH_KINDS)
+        object.__setattr__(self, "protocols", menu)
         for n in self.n_values:
             check_state(**self._state_spec(n, self.seed))
             _check_eg(self.eg_method, n, self.local_dim, restarts=self.eg_restarts,
@@ -160,6 +164,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ValueError(f"{path}: config needs an ensemble object with a kind")
     est = raw.get("estimators", {})
     eg = est.get("eg")
+    eg_opts = {} if eg is None else eg
     return ExperimentConfig(
         ensemble_kind=ens["kind"],
         n_values=tuple(raw.get("n_values", ())),
@@ -172,8 +177,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         subset_k=ens.get("k"),
         w_local=bool(est.get("w_local", True)),
         eg_method=None if eg is None else eg.get("method", "alternating"),
-        eg_restarts=32 if eg is None else int(eg.get("restarts", 32)),
-        eg_grid=24 if eg is None else int(eg.get("grid", 24)),
+        eg_restarts=int(eg_opts.get("restarts", workbounds.DEFAULT_RESTARTS)),
+        eg_grid=int(eg_opts.get("grid", workbounds.DEFAULT_GRID)),
         protocols=tuple(est.get("protocols", ())),
     )
 
@@ -330,62 +335,41 @@ def build_state(kind: str, num_sites: int, *, seed: int | None = None, local_dim
     return ensembles.graph_state(g), g
 
 
-def _build_menu(names, state: PureState, graph) -> list:
-    menu = []
-    for name in names:
-        if name == "null":
-            menu.append(locc.null_protocol(state.num_sites, state.local_dim))
-        elif name == "computational":
-            menu.append(locc.subset_protocol(state.num_sites, state.local_dim))
-        elif name == "independent-set":
-            menu.append(locc.independent_set_protocol(graph))
-        elif name == "refined-null":
-            menu.append(
-                locc.refine_rank_one(locc.null_protocol(state.num_sites, state.local_dim), state)
-            )
-        else:
-            raise ValueError(f"unknown protocol {name!r}")
-    return menu
+def _protocol_menu(names, has_graph: bool) -> tuple:
+    """The protocol names a row or report runs: null first, then `names` in
+    order, without repeats.  None names the standard menu, PROTOCOL_NAMES
+    with independent-set only when there is a graph.  Null keeps every lower
+    bound at or above the local figure, and wins ties."""
+    if names is None:
+        names = [p for p in PROTOCOL_NAMES if has_graph or p != "independent-set"]
+    bad = set(names) - set(PROTOCOL_NAMES)
+    if bad:
+        raise ValueError(f"unknown protocols {sorted(bad)}")
+    if "independent-set" in names and not has_graph:
+        raise ValueError("independent-set protocol requires a graph")
+    return tuple(dict.fromkeys(("null",) + tuple(names)))
 
 
 def run_scaling(cfg: ExperimentConfig) -> list:
     """Evaluate all (N, sample) rows in order; stream them to cfg.output as CSV."""
-    rows = []
-    sink = open(cfg.output, "w") if cfg.output else None
-    try:
-        if sink:
-            sink.write(CSV_HEADER + "\n")
-        for n in cfg.n_values:
-            for sample in range(cfg.samples):
-                seed = derive_row_seed(cfg.seed, n, sample)
-                t0 = time.perf_counter()
-                state, graph = build_state(**cfg._state_spec(n, seed))
-                report = work_report(
-                    state,
-                    graph,
-                    eg_method=cfg.eg_method,
-                    restarts=cfg.eg_restarts,
-                    grid=cfg.eg_grid,
-                    rng_seed=seed,
-                    protocols=cfg.protocols,
-                    w_local=cfg.w_local,
-                )
-                row = ResultRow(
-                    ensemble=cfg.ensemble_kind,
-                    n=n,
-                    sample=sample,
-                    seed=seed,
-                    wall_ms=(time.perf_counter() - t0) * 1000.0,
-                    **asdict(report),
-                )
-                rows.append(row)
-                if sink:
-                    sink.write(row_to_csv(row) + "\n")
-                    sink.flush()
-    finally:
-        if sink:
-            sink.close()
-    return rows
+    rows = _scaling_rows(cfg)
+    if not cfg.output:
+        return list(rows)
+    with open(cfg.output, "w") as sink:
+        return write_csv(ResultRow, rows, sink)
+
+
+def _scaling_rows(cfg: ExperimentConfig):
+    for n in cfg.n_values:
+        for sample in range(cfg.samples):
+            seed = derive_row_seed(cfg.seed, n, sample)
+            t0 = time.perf_counter()
+            state, graph = build_state(**cfg._state_spec(n, seed))
+            report = work_report(state, graph, eg_method=cfg.eg_method,
+                                 restarts=cfg.eg_restarts, grid=cfg.eg_grid, rng_seed=seed,
+                                 protocols=cfg.protocols, w_local=cfg.w_local)
+            yield ResultRow(ensemble=cfg.ensemble_kind, n=n, sample=sample, seed=seed,
+                            wall_ms=(time.perf_counter() - t0) * 1000.0, **asdict(report))
 
 
 @dataclass(frozen=True)
@@ -507,8 +491,8 @@ def work_report(
     graph=None,
     *,
     eg_method: str | None = "alternating",
-    restarts: int = 32,
-    grid: int = 24,
+    restarts: int = workbounds.DEFAULT_RESTARTS,
+    grid: int = workbounds.DEFAULT_GRID,
     rng_seed: int = 0,
     protocols=None,
     w_local: bool = True,
@@ -516,13 +500,13 @@ def work_report(
     """Single-state bundle: both functionals, the exponent estimate with its
     ceiling, and the best protocol lower bound over a menu.
 
-    `protocols` names the menu in order; ties go to the earliest.  None is
-    the standard menu: null, computational, independent-set (only with a
-    graph) and refined-null.  eg_method None skips the estimate and
-    w_local False skips the local figure; both leave None.
+    `protocols` names the menu in order, after the null protocol, which
+    always comes first; ties go to the earliest.  None is the standard
+    menu: null, computational, independent-set (only with a graph) and
+    refined-null.  eg_method None skips the estimate and w_local False
+    skips the local figure; both leave None.
     """
-    if protocols is None:
-        protocols = [p for p in PROTOCOL_NAMES if graph is not None or p != "independent-set"]
+    names = _protocol_menu(protocols, graph is not None)
     w_g = workbounds.w_global(state)
     w_l = workbounds.w_local(state) if w_local else None
     eg_value, eg_cert, upper = None, "", None
@@ -530,7 +514,7 @@ def work_report(
         est = eg_estimate(state, eg_method, restarts=restarts, grid=grid, rng_seed=rng_seed)
         upper, eg_cert = workbounds.w_locc_upper(state, est)
         eg_value = est.value
-    menu = _build_menu(protocols, state, graph)
+    menu = [_PROTOCOLS[name](state, graph) for name in names]
     lower, best_name = locc.best_lower_bound(state, menu)
     return WorkReport(
         w_global=w_g,
@@ -551,26 +535,36 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def row_to_csv(row) -> str:
-    """A ResultRow or a TailRow as one CSV line.  Both declare their fields
-    in the order of their header's columns."""
-    return ",".join(_fmt(v) for v in astuple(row))
+def write_csv(row_type, rows, sink) -> list:
+    """The one CSV writer: row_type's header (CSV_HEADER for ResultRow,
+    TAIL_CSV_HEADER for TailRow), then one line per row, flushed as each row
+    arrives, so rows may stream from a generator.  Both row types declare
+    their fields in the order of their header's columns.  Returns the rows
+    written, as a list."""
+    sink.write({ResultRow: CSV_HEADER, TailRow: TAIL_CSV_HEADER}[row_type] + "\n")
+    written = []
+    for row in rows:
+        sink.write(",".join(_fmt(v) for v in astuple(row)) + "\n")
+        sink.flush()
+        written.append(row)
+    return written
 
 
 def emit_report(rows, path: str | Path, fmt: str = "csv") -> None:
     """Write rows as CSV (fixed header) or JSON; floats round-trip exactly."""
     path = Path(path)
     if fmt == "csv":
-        lines = [CSV_HEADER] + [row_to_csv(r) for r in rows]
-        path.write_text("\n".join(lines) + "\n")
+        with path.open("w") as sink:
+            write_csv(ResultRow, rows, sink)
     elif fmt == "json":
         path.write_text(json.dumps([asdict(r) for r in rows], indent=1) + "\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
 
 
-def _parse_opt_float(text: str):
-    return None if text == "" else float(text)
+# read_report's parser for each field type that ResultRow declares.
+_CSV_PARSERS = {"str": str, "int": int, "float": float,
+                "float | None": lambda text: None if text == "" else float(text)}
 
 
 def read_report(path: str | Path, fmt: str | None = None) -> list:
@@ -583,32 +577,18 @@ def read_report(path: str | Path, fmt: str | None = None) -> list:
     lines = path.read_text().splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path}: missing or wrong CSV header")
+    parsers = [_CSV_PARSERS[f.type] for f in fields(ResultRow)]
     rows = []
     for ln in lines[1:]:
         if not ln:
             continue
         parts = ln.split(",")
-        if len(parts) != 12:
+        if len(parts) != len(parsers):
             raise ValueError(f"{path}: bad row {ln!r}")
-        rows.append(
-            ResultRow(
-                ensemble=parts[0],
-                n=int(parts[1]),
-                sample=int(parts[2]),
-                seed=int(parts[3]),
-                w_global=float(parts[4]),
-                w_local=_parse_opt_float(parts[5]),
-                eg_value=_parse_opt_float(parts[6]),
-                eg_cert=parts[7],
-                w_locc_upper=_parse_opt_float(parts[8]),
-                w_locc_lower=_parse_opt_float(parts[9]),
-                best_protocol=parts[10],
-                wall_ms=float(parts[11]),
-            )
-        )
+        rows.append(ResultRow(*(parse(text) for parse, text in zip(parsers, parts))))
     return rows
 
 
 def tail_to_csv(rows, path: str | Path) -> None:
-    lines = [TAIL_CSV_HEADER] + [row_to_csv(r) for r in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as sink:
+        write_csv(TailRow, rows, sink)

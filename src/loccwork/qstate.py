@@ -178,6 +178,8 @@ def site_marginals(vectors: np.ndarray, num_sites: int, local_dim: int) -> np.nd
     (at least one row), so every site's passes over a chunk stay in cache and
     only the chunk is conjugated.  Diagonal entries are real dot products
     over the chunk's float64 view; each pair i > j takes one complex einsum.
+    A row larger than a chunk is not conjugated whole: _pair_in_pieces sums
+    each pair over pieces of the row within a chunk.
     """
     n, d = num_sites, local_dim
     count, dim = vectors.shape
@@ -185,19 +187,41 @@ def site_marginals(vectors: np.ndarray, num_sites: int, local_dim: int) -> np.nd
     rows = max(1, _MARGINAL_CHUNK_BYTES // (16 * dim))
     for lo in range(0, count, rows):
         chunk = np.ascontiguousarray(vectors[lo : lo + rows], dtype=complex)
-        c, conj, flat = len(chunk), chunk.conj(), chunk.view(float)
+        c, flat = len(chunk), chunk.view(float)
+        conj = chunk.conj() if 16 * dim <= _MARGINAL_CHUNK_BYTES else None
         for site in range(n):
             shape = (c, d ** (n - site - 1), d, d**site)
-            t, tc = chunk.reshape(shape), conj.reshape(shape)
+            t = chunk.reshape(shape)
+            tc = None if conj is None else conj.reshape(shape)
             f = flat.reshape(c, shape[1], d, 2 * d**site)
             block = out[lo : lo + c, site]
             for i in range(d):
                 block[:, i, i] = np.einsum("lak,lak->l", f[:, :, i], f[:, :, i])
                 for j in range(i):
-                    entry = np.einsum("lab,lab->l", t[:, :, i], tc[:, :, j])
+                    if tc is None:
+                        entry = _pair_in_pieces(t, i, j)
+                    else:
+                        entry = np.einsum("lab,lab->l", t[:, :, i], tc[:, :, j])
                     block[:, i, j] = entry
                     block[:, j, i] = entry.conj()
     return out
+
+
+def _pair_in_pieces(t: np.ndarray, i: int, j: int) -> np.ndarray:
+    """sum over (a, b) of t[:, a, i, b] * conj(t[:, a, j, b]) for a one-row
+    stack t of shape (1, A, d, B), conjugating pieces of site value j of at
+    most _MARGINAL_CHUNK_BYTES each: blocks of whole B-runs along A, or runs
+    of B when one run is larger than that."""
+    _, a, _, b = t.shape
+    per = max(1, _MARGINAL_CHUNK_BYTES // 16)
+    step_a, step_b = max(1, per // b), min(b, per)
+    total = np.zeros(1, dtype=complex)
+    for a0 in range(0, a, step_a):
+        for b0 in range(0, b, step_b):
+            x = t[:, a0 : a0 + step_a, i, b0 : b0 + step_b]
+            y = t[:, a0 : a0 + step_a, j, b0 : b0 + step_b]
+            total += np.einsum("lab,lab->l", x, y.conj())
+    return total
 
 
 def _entropy(values: np.ndarray) -> np.ndarray:

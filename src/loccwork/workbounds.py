@@ -32,6 +32,14 @@ CERT_BRUTEFORCE = "bruteforce_certified"
 CERT_SCHMIDT = "schmidt_exact"
 CERT_HEURISTIC = "heuristic_local_max"
 
+# eg search defaults, read by lab and the CLI: alternating restarts, and
+# bruteforce grid points per axis.  A bruteforce grid of at least
+# CERTIFIED_GRID points per axis is labelled bruteforce_certified; the
+# default grid is the coarsest such grid.
+DEFAULT_RESTARTS = 32
+CERTIFIED_GRID = 24
+DEFAULT_GRID = CERTIFIED_GRID
+
 
 @dataclass(frozen=True)
 class ProductState:
@@ -230,7 +238,7 @@ def _random_factors(num_sites: int, local_dim: int, restarts: int, rng_seed) -> 
 
 def eg_alternating(
     state: PureState,
-    restarts: int = 32,
+    restarts: int = DEFAULT_RESTARTS,
     tol: float = 1e-10,
     max_iters: int = 1000,
     rng_seed: int | None = None,
@@ -306,7 +314,7 @@ def _batch_sigma_max_sq(w: np.ndarray) -> np.ndarray:
     return (t + np.sqrt(disc)) / 2
 
 
-def eg_bruteforce(state: PureState, grid_points_per_axis: int = 24) -> EgEstimate:
+def eg_bruteforce(state: PureState, grid_points_per_axis: int = DEFAULT_GRID) -> EgEstimate:
     """Certified small-system search for the product-overlap exponent.
 
     Qubits only, at most 4 sites.  The first N-2 sites are scanned over a
@@ -314,9 +322,9 @@ def eg_bruteforce(state: PureState, grid_points_per_axis: int = 24) -> EgEstimat
     for every grid combination the final two sites are closed exactly through
     the top singular value of the residual 2x2 matrix, which dominates any
     grid on those sites.  The best candidate is then refined by 50
-    alternating sweeps of the eg_alternating kernel.  With grid >= 24 the
-    basin resolution is fine enough to certify; coarser grids are reported
-    as heuristic.
+    alternating sweeps of the eg_alternating kernel.  With grid >=
+    CERTIFIED_GRID the basin resolution is fine enough to certify; coarser
+    grids are reported as heuristic.
 
     For N >= 2 the grid start is then compared with an 8-restart
     eg_alternating run, so restarts_used is 9 (the grid start plus those 8
@@ -372,7 +380,7 @@ def eg_bruteforce(state: PureState, grid_points_per_axis: int = 24) -> EgEstimat
         if p_alt > p:
             p, maximizer = p_alt, alt.maximizer
 
-    cert = CERT_BRUTEFORCE if grid_points_per_axis >= 24 else CERT_HEURISTIC
+    cert = CERT_BRUTEFORCE if grid_points_per_axis >= CERTIFIED_GRID else CERT_HEURISTIC
     return EgEstimate(
         value=float(-np.log(p)),
         maximizer=maximizer,

@@ -258,6 +258,24 @@ class TestEg:
     def test_bad_n(self, capsys):
         assert run(capsys, "eg", "--state", "ghz", "--n", "0")[0] == 1
 
+    @pytest.mark.parametrize("cut", [
+        pytest.param("5", id="out-of-range"),
+        pytest.param("1,0", id="unordered"),
+        pytest.param("0,1,2", id="every-site"),
+        pytest.param("0,0", id="repeated"),
+        pytest.param("-1", id="negative"),
+        pytest.param(",", id="empty"),
+    ])
+    def test_bad_cut_exits_one_before_any_state(self, capsys, monkeypatch, cut):
+        def no_build(*args, **kwargs):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(lab, "build_state", no_build)
+        code, out, err = run(capsys, "eg", "--state", "ghz", "--n", "3",
+                             "--method", "schmidt", "--cut", cut)
+        assert code == 1, err
+        assert out == "" and "usage error: --cut" in err
+
 
 class TestProtocol:
     def write_protocol(self, tmp_path, body):
@@ -401,8 +419,8 @@ class TestExperiment:
     def test_scaling_stdout_when_no_output(self, capsys, tmp_path):
         cfg = {
             "ensemble": {"kind": "haar"},
-            "n_values": [2],
-            "samples": 1,
+            "n_values": [2, 3],
+            "samples": 2,
             "seed": 5,
             "estimators": {"protocols": []},
         }
@@ -411,6 +429,19 @@ class TestExperiment:
         code, out, _ = run(capsys, "experiment", "scaling", "--config", str(cfg_path))
         assert code == 0
         assert out.splitlines()[0] == lab.CSV_HEADER
+        # The same bytes as the output file, wall_ms and the slope line aside.
+        csv = tmp_path / "rows.csv"
+        cfg_path.write_text(json.dumps({**cfg, "output": str(csv)}))
+        code, file_out, _ = run(capsys, "experiment", "scaling", "--config", str(cfg_path))
+        assert code == 0
+        *printed, slope = out.splitlines(keepends=True)
+        assert slope.startswith("w_local_slope") and file_out.endswith(slope)
+        assert len(printed) == 5
+
+        def without_wall(lines):
+            return [line.rsplit(",", 1)[0] for line in lines]
+
+        assert without_wall(printed) == without_wall(csv.read_text().splitlines(keepends=True))
 
     def write_config(self, tmp_path, **overrides):
         cfg = {"ensemble": {"kind": "haar"}, "n_values": [2], "samples": 1, "seed": 5,

@@ -354,6 +354,25 @@ def test_site_kernel_allocates_chunks_not_a_stack_copy():
     assert peak <= out.nbytes + 4 * qstate._MARGINAL_CHUNK_BYTES
 
 
+@pytest.mark.parametrize("d, n", [(2, 16), (3, 10)])
+def test_site_kernel_splits_a_row_larger_than_a_chunk(monkeypatch, d, n):
+    # One row of about 1 MiB in 16 KiB chunks: the off-diagonal sums take
+    # the row piece by piece, with no conjugate copy of the whole row.
+    rng = np.random.default_rng(11)
+    stack = rng.standard_normal((1, d**n)) + 1j * rng.standard_normal((1, d**n))
+    whole = site_marginals(stack, n, d)
+    monkeypatch.setattr(qstate, "_MARGINAL_CHUNK_BYTES", 2**14)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = site_marginals(stack, n, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + 4 * qstate._MARGINAL_CHUNK_BYTES
+    assert np.allclose(out, whole, atol=1e-12 * np.abs(whole).max(), rtol=0)
+
+
 def test_site_kernel_on_product_and_maximally_mixed_marginals():
     marginals = site_marginals(ghz_state(3).amplitudes[np.newaxis], 3, 2)
     assert np.allclose(site_entropies(marginals), np.log(2.0), atol=1e-12)

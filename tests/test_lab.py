@@ -405,6 +405,29 @@ class TestReports:
         with pytest.raises(ValueError):
             lab.read_report(path)
 
+    def test_write_csv_flushes_each_row_as_it_arrives(self):
+        rows = self.sample_rows()
+        events = []
+
+        class Sink:
+            def write(self, text):
+                events.append(text)
+
+            def flush(self):
+                events.append("flush")
+
+        def stream():
+            for k, row in enumerate(rows):
+                assert events.count("flush") == k
+                yield row
+
+        assert lab.write_csv(lab.ResultRow, stream(), Sink()) == rows
+        assert events[0] == lab.CSV_HEADER + "\n"
+        assert events[2::2] == ["flush"] * len(rows)
+        assert [line.split(",")[:3] for line in events[1::2]] == [
+            ["haar", str(r.n), str(r.sample)] for r in rows
+        ]
+
     def test_emit_rejects_unknown_format(self, tmp_path):
         with pytest.raises(ValueError):
             lab.emit_report([], tmp_path / "x.bin", fmt="parquet")
@@ -653,6 +676,24 @@ class TestWorkReport:
         rep = lab.work_report(state, eg_method=None, protocols=("refined-null", "computational"))
         assert rep.best_protocol == "null+rank1"
         assert rep.w_locc_lower == pytest.approx(2 * LN2, abs=1e-9)
+
+    def test_explicit_menu_puts_null_first(self):
+        # Measuring |+++> in Z loses 3 ln 2 that the null protocol keeps.
+        rep = lab.work_report(ensembles.plus_state(3), eg_method=None,
+                              protocols=("computational",))
+        assert rep.best_protocol == "null"
+        assert rep.w_locc_lower >= rep.w_local
+        assert rep.w_locc_lower == pytest.approx(3 * LN2, abs=1e-9)
+
+    def test_menu_checks_names_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a figure was computed")
+
+        monkeypatch.setattr(workbounds, "w_global", no_work)
+        with pytest.raises(ValueError, match="requires a graph"):
+            lab.work_report(ensembles.ghz_state(3), protocols=("independent-set",))
+        with pytest.raises(ValueError, match="unknown protocols"):
+            lab.work_report(ensembles.ghz_state(3), protocols=("magic",))
 
     @pytest.mark.parametrize(
         "overrides",
