@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument(
         "--kind",
         required=True,
-        choices=("random", "cycle", "square_torus", "triangular_torus", "hexagonal"),
+        choices=("random", *graphs.LATTICE_DIMS),
     )
     p_gen.add_argument("--n", type=int, help="vertex count (random)")
     p_gen.add_argument("--seed", type=int, help="RNG seed (random)")

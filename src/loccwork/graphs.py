@@ -93,6 +93,15 @@ def gen_random_graph(num_vertices: int, seed: int) -> Graph:
     return Graph(num_vertices, frozenset(edges))
 
 
+# The dims each lattice kind takes, by name.
+LATTICE_DIMS = {
+    "cycle": ("n",),
+    "square_torus": ("rows", "cols"),
+    "triangular_torus": ("rows", "cols"),
+    "hexagonal": ("rows", "cols"),
+}
+
+
 def gen_lattice(kind: str, dims: tuple) -> Graph:
     """Regular lattices with periodic wrapping.
 
@@ -101,6 +110,12 @@ def gen_lattice(kind: str, dims: tuple) -> Graph:
     degrees 4 and 6; "hexagonal" takes (rows, cols) with rows even >= 2 and
     cols even >= 4, degree 3 (brick-wall embedding of the honeycomb).
     """
+    if kind not in LATTICE_DIMS:
+        raise ValueError(f"unknown lattice kind {kind!r}")
+    names = LATTICE_DIMS[kind]
+    if len(dims) != len(names):
+        unit = "dim" if len(names) == 1 else "dims"
+        raise ValueError(f"{kind} takes {len(names)} {unit} ({', '.join(names)}), got {len(dims)}")
     if kind == "cycle":
         (n,) = dims
         if n < 3:
@@ -135,8 +150,6 @@ def gen_lattice(kind: str, dims: tuple) -> Graph:
                 if (r + c) % 2 == 0:
                     edges.add(tuple(sorted((vid(r, c), vid(r + 1, c)))))
         return Graph(rows * cols, frozenset(edges))
-
-    raise ValueError(f"unknown lattice kind {kind!r}")
 
 
 def caro_wei_bound(g: Graph) -> float:

@@ -24,7 +24,6 @@ from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from . import ensembles, graphs, locc, workbounds
 from .qstate import PureState
@@ -41,7 +40,7 @@ TAIL_C1 = 2.0 / (9.0 * math.pi**3 * math.log(2.0))
 # Two-sided 99% normal quantile, used for Wilson intervals.
 Z_99 = 2.5758293035489004
 
-GRAPH_KINDS = ("cycle", "square_torus", "triangular_torus", "hexagonal", "random_graph")
+GRAPH_KINDS = (*graphs.LATTICE_DIMS, "random_graph")
 ENSEMBLE_KINDS = ("haar", "circuit", "subset") + GRAPH_KINDS
 # The protocol menu: each name's builder from (state, graph), in the order
 # of the standard menu.
@@ -88,9 +87,31 @@ def wilson_interval(successes: int, trials: int, z: float = Z_99) -> tuple[float
 
 
 def fit_slope(x, y) -> tuple[float, float, float]:
-    """Least-squares slope with its standard error: (slope, stderr, intercept)."""
-    res = stats.linregress(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return float(res.slope), float(res.stderr), float(res.intercept)
+    """Least-squares slope with its standard error: (slope, stderr, intercept).
+
+    The ordinary least-squares closed form on population (co)variances.
+    The correlation r is clipped to [-1, 1] and is NaN when a variance and
+    the covariance are both 0, so a constant y has stderr NaN; two points
+    have stderr 0.0.  Raises ValueError on empty or unequal-length input,
+    or on more than one point with all x identical.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.size == 0 or y.size == 0:
+        raise ValueError("fit_slope needs at least one point")
+    if x.shape != y.shape:
+        raise ValueError("x and y must have the same length")
+    n = len(x)
+    if n > 1 and x.max() == x.min():
+        raise ValueError("cannot fit a slope when all x values are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.float64(np.nan if ssxym == 0 else 0.0)
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    stderr = 0.0 if n == 2 else np.sqrt((1 - r**2) * ssym / ssxm / (n - 2))
+    return float(slope), float(stderr), float(intercept)
 
 
 @dataclass(frozen=True)

@@ -41,10 +41,13 @@ NULL_LABEL = "phi"
 # columns and one of its rows reproduces it to this fraction of its largest
 # entry.
 RANK_ONE_RTOL = 1e-13
-# Most memory a branch tree may take as complex amplitudes, residuals and
-# dense site columns; checked before each step and before building leaf states.
+# Most memory a branch tree may take: its complex residuals and dense site
+# columns, plus each child's probability, keep mask, parent index and outcome
+# indices; checked before each step and before building leaf states.
 BRANCH_BUDGET_BYTES = 1 << 29
 COMPLEX_BYTES = 16
+# A step's float64 probability, bool keep mask and intp parent index per child.
+_CHILD_STEP_BYTES = 8 + 1 + np.dtype(np.intp).itemsize
 
 
 class ProtocolError(ValueError):
@@ -52,15 +55,13 @@ class ProtocolError(ValueError):
 
 
 class BranchBudgetError(ProtocolError):
-    """A branch tree would exceed BRANCH_BUDGET_BYTES of dense amplitudes."""
+    """A branch tree would exceed BRANCH_BUDGET_BYTES."""
 
 
-def _check_budget(amplitudes: int, what: str) -> None:
-    need = amplitudes * COMPLEX_BYTES
-    if need > BRANCH_BUDGET_BYTES:
+def _check_budget(nbytes: int, what: str) -> None:
+    if nbytes > BRANCH_BUDGET_BYTES:
         raise BranchBudgetError(
-            f"{what} needs {amplitudes} complex amplitudes ({need} bytes), "
-            f"over the branch budget of {BRANCH_BUDGET_BYTES} bytes"
+            f"{what} needs {nbytes} bytes, over the branch budget of {BRANCH_BUDGET_BYTES} bytes"
         )
 
 
@@ -232,8 +233,10 @@ class _Branches:
     def open_sites(self) -> list:
         return [s for s, c in enumerate(self.sliced) if c is None]
 
-    def amplitudes(self) -> int:
-        return self.residual.size + sum(c.size for c in self.sliced if isinstance(c, np.ndarray))
+    def nbytes(self) -> int:
+        arrays = [self.residual, *self.outcomes]
+        arrays += [c for c in self.sliced if isinstance(c, np.ndarray)]
+        return sum(a.nbytes for a in arrays)
 
     def columns(self, site: int, rows=slice(None)) -> np.ndarray:
         c = self.sliced[site]
@@ -280,7 +283,7 @@ def _step(branches: _Branches, rnd: int, site: int, m: SiteMeasurement, d: int,
     or their overlaps with a sliced site's column scale the residual.  Any
     other operator acts in one batched call on the residual, or on the
     site's columns, whose new norms scale the residual.  held counts the
-    amplitudes of the rest of the tree.
+    bytes of the rest of the tree (see _Branches.nbytes).
     """
     count, rank_one = len(m.ops), m.rank_one is not None
     sliced = list(branches.sliced)
@@ -293,11 +296,14 @@ def _step(branches: _Branches, rnd: int, site: int, m: SiteMeasurement, d: int,
     else:
         kraus = np.array([k for _, k in m.ops])
         dense += isinstance(column, int)
+    if column is None and rank_one:
+        width //= d
+    child = (COMPLEX_BYTES * (width + d * dense) + _CHILD_STEP_BYTES
+             + sum(o.itemsize for o in branches.outcomes))
     if column is None:
         open_sites = branches.open_sites
         pos = open_sites.index(site)
-        width //= d if rank_one else 1
-        _check_budget(held + len(branches) * count * (width + d * dense), "measuring the branches")
+        _check_budget(held + len(branches) * count * child, "measuring the branches")
         if rank_one:
             t = branches.residual.reshape(-1, d ** (len(open_sites) - pos - 1), d, d**pos)
             grown = np.einsum("kj,bajc->bkac", rows, t).reshape(len(branches), count, width)
@@ -320,7 +326,7 @@ def _step(branches: _Branches, rnd: int, site: int, m: SiteMeasurement, d: int,
     del probs  # freed before the children's arrays are built
     parent = keep.nonzero()[0] // count
     if column is not None:
-        _check_budget(held + kept * (width + d * dense), "measuring the branches")
+        _check_budget(held + kept * child, "measuring the branches")
     sliced = [c[parent] if isinstance(c, np.ndarray) and s != site else c
               for s, c in enumerate(sliced)]
     if column is None:
@@ -352,7 +358,7 @@ class _LeafView(SequenceABC):
             i += count
         if not 0 <= i < count:
             raise IndexError("leaf index out of range")
-        _check_budget(count * tree.input_state.dim, "building the leaf states")
+        _check_budget(count * tree.input_state.dim * COMPLEX_BYTES, "building the leaf states")
         b = bisect.bisect_right(tree.offsets, i) - 1
         block, row = tree.blocks[b], i - tree.offsets[b]
         state = tree.input_state
@@ -450,8 +456,9 @@ def execute(protocol: Protocol, state: PureState, prune_below: float = 0.0) -> B
     pruned: partial branches of probability exactly 0 are removed, and
     those below prune_below (at most 1e-12) too, their mass accounted in
     dropped_mass.  Leaf states are normalized.  BranchBudgetError is raised
-    before a step would take the tree's residuals and dense site columns
-    over BRANCH_BUDGET_BYTES.
+    before a step would take the tree's arrays over BRANCH_BUDGET_BYTES:
+    residuals, dense site columns, and each child's probability, keep mask,
+    parent index and outcome indices.
     """
     if not 0.0 <= prune_below <= 1e-12:
         raise ValueError("prune_below must lie in [0, 1e-12]")
@@ -462,18 +469,18 @@ def execute(protocol: Protocol, state: PureState, prune_below: float = 0.0) -> B
     dropped = 0.0
     for rnd in range(protocol.num_rounds):
         batches = [batch for block in blocks for batch in _batches(protocol, rnd, block)]
-        # Amplitudes held by every branch but the batch being measured.
-        held, blocks = sum(b.amplitudes() for b in batches), []
+        # Bytes held by every branch but the batch being measured.
+        held, blocks = sum(b.nbytes() for b in batches), []
         for i in range(len(batches)):
             batch, batches[i] = batches[i], None  # its arrays go once it is measured
-            held -= batch.amplitudes()
+            held -= batch.nbytes()
             for site, m in enumerate(batch.rounds[-1]):
                 if len(batch) and not m.identity:
                     batch, lost = _step(batch, rnd, site, m, d, prune_below, held)
                     dropped += lost
             if len(batch):
                 blocks.append(batch)
-                held += batch.amplitudes()
+                held += batch.nbytes()
     probs = [_norm2(b.residual) for b in blocks]
     for b, p in zip(blocks, probs):
         np.divide(b.residual, np.sqrt(p)[:, np.newaxis], out=b.residual)

@@ -358,7 +358,8 @@ class TestLargeStates:
         assert code == 1
         assert out == ""
         assert "usage error" in err and "branch budget" in err
-        monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", 1 << 24)
+        # 16 MiB of amplitudes plus 19 B of indices per leaf.
+        monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", 17 << 20)
         code, out, _ = run(capsys, *argv)
         assert code == 0
         assert parse_kv(out)["leaves"] == "1024"
@@ -393,6 +394,10 @@ class TestGraphGen:
     def test_bad_dims_is_runtime_error(self, capsys, tmp_path):
         assert run(capsys, "graph", "gen", "--kind", "cycle", "--dims", "2",
                    "--output", str(tmp_path / "x"))[0] == 2
+        code, _, err = run(capsys, "graph", "gen", "--kind", "square_torus", "--dims", "3",
+                           "--output", str(tmp_path / "x"))
+        assert code == 2
+        assert "square_torus takes 2 dims (rows, cols), got 1" in err
 
 
 class TestExperiment:

@@ -386,8 +386,10 @@ def test_site_kernel_on_product_and_maximally_mixed_marginals():
 
 def test_leaf_count_builds_no_states(monkeypatch):
     state = random_state(8, 1)
-    # Room for the 256 outcome amplitudes, not for 256 leaf states.
-    monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", 256 * 16)
+    # Room for 256 children of one amplitude, a float64 probability, a bool
+    # mask, an intp parent index and a uint16 outcome index each, not for
+    # 256 leaf states.
+    monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", 256 * (16 + 8 + 1 + 8 + 2))
     tree = execute(subset_protocol(8), state)
     assert len(tree.leaves) == 256
     assert protocol_work(tree).leaf_count == 256
@@ -422,10 +424,11 @@ def test_dense_split_over_budget_raises(monkeypatch):
 
 
 def test_collapse_over_budget_raises(monkeypatch):
-    monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", 3**6 * 16 - 1)
+    # Per leaf: one amplitude, probability, mask, parent and uint16 outcome.
+    monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", 3**6 * (16 + 8 + 1 + 8 + 2) - 1)
     with pytest.raises(BranchBudgetError):
         execute(static_protocol([[trine()] * 6]), random_state(6, 3))
-    monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", 3**6 * 16)
+    monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", 3**6 * (16 + 8 + 1 + 8 + 2))
     assert len(execute(static_protocol([[trine()] * 6]), random_state(6, 3)).leaves) == 3**6
 
 
@@ -453,6 +456,19 @@ def test_budget_counts_dense_site_columns(monkeypatch):
     proto = static_protocol([[SiteMeasurement.z_basis()] * 8, [weak()] * 8])
     with pytest.raises(BranchBudgetError):
         execute(proto, random_state(8, 5))
+
+
+def test_budget_counts_index_arrays(monkeypatch):
+    """Weak then X leaves 2^16 leaves of one amplitude (1 MiB), but each
+    also takes a probability, mask, parent index and two outcome indices
+    while it is made: 37 B a leaf, 2.3 MiB in all."""
+    proto = static_protocol([[weak()] * 8, [SiteMeasurement.x_basis()] * 8])
+    amplitude_bytes = 2**16 * 16
+    monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", amplitude_bytes * 3 // 2)
+    with pytest.raises(BranchBudgetError):
+        execute(proto, random_state(8, 6))
+    monkeypatch.setattr(locc, "BRANCH_BUDGET_BYTES", amplitude_bytes * 5 // 2)
+    assert len(execute(proto, random_state(8, 6)).leaves) == 2**16
 
 
 def test_trailing_rounds_keep_the_leaves():

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loccwork
 from loccwork import ensembles, graphs, lab, workbounds
 
 LN2 = 0.6931471805599453
@@ -14,6 +19,27 @@ CRC_6_3 = 1172242271
 
 # Wilson 99% interval for 13/1000, frozen from the closed form.
 WILSON_13_1000 = (0.006469533988079512, 0.025950260627838742)
+
+# (x, y, repr of (slope, stderr, intercept)), recorded from
+# scipy.stats.linregress 1.17.1, which fit_slope used to call.
+FIT_SLOPE_GOLDEN = {
+    "two_points": ([2, 3], [0.5, 1.75], "(1.25, 0.0, -2.0)"),
+    "constant_y": ([2, 3, 4, 5], [1.5, 1.5, 1.5, 1.5], "(0.0, nan, 1.5)"),
+    "all_zero_y": ([2, 3, 4], [0.0, 0.0, 0.0], "(0.0, nan, 0.0)"),
+    "exact_line": ([1, 2, 3, 4], [3, 5, 7, 9], "(2.0, 0.0, 1.0)"),
+    "exact_line_float": ([2, 3, 5, 8, 13], [0.7 * v + 0.1 for v in (2, 3, 5, 8, 13)],
+                         "(0.7000000000000001, 0.0, 0.09999999999999876)"),
+    "noisy": ([2, 3, 4, 5, 6, 7, 8, 9], [0.31, 1.07, 1.62, 2.49, 2.93, 3.71, 4.38, 5.02],
+              "(0.6694047619047618, 0.0120139830976879, -0.9904761904761901)"),
+    "noisy_negative": ([3, 4, 6, 7, 11], [-0.2, -0.95, -2.1, -2.4, -5.3],
+                       "(-0.6239690721649482, 0.03152874144057258, 1.6786082474226793)"),
+    "tiny_scale": ([2, 3, 4, 5], [1e-17, 3e-17, 2e-17, 5e-17],
+                   "(1.1e-17, 5.196152422706632e-18, -1.0999999999999997e-17)"),
+}
+
+# A two-N scaling config and the slope line it printed with linregress.
+SCALING_TWO_N = {"ensemble": {"kind": "haar"}, "n_values": [2, 3], "samples": 3, "seed": 11}
+SCALING_TWO_N_SLOPE = "w_local_slope -0.4236518962170446 stderr 0.0"
 
 
 def make_config(**overrides):
@@ -77,6 +103,41 @@ class TestSeedsAndStats:
         y = -0.7 * x + 2.0 + 0.01 * rng.standard_normal(50)
         slope, stderr, _ = lab.fit_slope(x, y)
         assert abs(slope + 0.7) < 5 * stderr + 1e-6
+
+    @pytest.mark.parametrize("case", sorted(FIT_SLOPE_GOLDEN))
+    def test_fit_slope_golden(self, case):
+        x, y, want = FIT_SLOPE_GOLDEN[case]
+        assert repr(lab.fit_slope(x, y)) == want
+
+    @pytest.mark.parametrize("x, y", [([], []), ([1.0, 2.0], []), ([1, 1, 1], [1, 2, 3]),
+                                      ([2, 2], [0, 1]), ([1, 2, 3], [1, 2])])
+    def test_fit_slope_rejects(self, x, y):
+        with pytest.raises(ValueError):
+            lab.fit_slope(x, y)
+
+    def test_scaling_slope_without_scipy(self, tmp_path):
+        """numpy is the one runtime dependency: with scipy unimportable,
+        experiment scaling prints the slope line linregress gave."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SCALING_TWO_N))
+        src = str(Path(loccwork.__file__).resolve().parents[1])
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from loccwork.cli import cli_main\n"
+            f"code = cli_main(['experiment', 'scaling', '--config', {str(cfg)!r}])\n"
+            "print(sorted(k for k, v in sys.modules.items()\n"
+            "             if k.partition('.')[0] == 'scipy' and v is not None))\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                timeout=120, env=env)
+        assert result.returncode == 0, result.stderr
+        *_, slope, loaded = result.stdout.splitlines()
+        assert slope == SCALING_TWO_N_SLOPE
+        assert loaded == "[]"
 
 
 class TestConfig:
