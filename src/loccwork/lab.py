@@ -37,6 +37,9 @@ TAIL_CSV_HEADER = "alpha,threshold,exceed_count,samples,empirical,bound,wilson_l
 # Exponential tail rate for uniformly random states: 2/(9 pi^3 ln 2).
 TAIL_C1 = 2.0 / (9.0 * math.pi**3 * math.log(2.0))
 
+# run_tail's Haar draws go through one buffer of at most this many bytes.
+_TAIL_CHUNK_BYTES = 2**21
+
 # Two-sided 99% normal quantile, used for Wilson intervals.
 Z_99 = 2.5758293035489004
 
@@ -430,17 +433,20 @@ def run_tail(
     dim = 2**num_sites
     if ensemble_kind == "haar":
         # Blocks of 20 000 rows, real parts drawn before imaginary parts, fix
-        # the RNG stream; chunks of at most 2^21 numbers keep memory flat in D.
+        # the RNG stream; drawing into one reused buffer of at most
+        # _TAIL_CHUNK_BYTES (or one row when a row is larger) keeps memory
+        # flat in D.
         overlaps = np.empty(samples)
         rng = np.random.default_rng(seed)
-        chunk = max(1, 2**21 // dim)
+        chunk = max(1, _TAIL_CHUNK_BYTES // (8 * dim))
+        buf = np.empty((min(chunk, samples, 20_000), dim))
         for start in range(0, samples, 20_000):
             m = min(20_000, samples - start)
             first = np.zeros(m)
             total = np.zeros(m)
             for _part in ("real", "imag"):
                 for lo in range(0, m, chunk):
-                    x = rng.standard_normal((min(chunk, m - lo), dim))
+                    x = rng.standard_normal(out=buf[: min(chunk, m - lo)])
                     first[lo : lo + len(x)] += x[:, 0] ** 2
                     total[lo : lo + len(x)] += np.einsum("ij,ij->i", x, x)
             overlaps[start : start + m] = first / total

@@ -141,7 +141,7 @@ def _fix_phases(factors: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 # Restarts are swept in chunks whose suffix contractions hold at most this
-# many amplitudes together (32 MiB), the cap lab.run_tail uses for its chunks.
+# many amplitudes together (32 MiB).
 _SWEEP_CHUNK_AMPLITUDES = 2**21
 
 
@@ -306,12 +306,69 @@ def _bloch_grid(points_per_axis: int) -> np.ndarray:
     return states.reshape(-1, 2)
 
 
-def _batch_sigma_max_sq(w: np.ndarray) -> np.ndarray:
-    """Largest squared singular value of a batch of 2x2 matrices."""
-    t = (np.abs(w) ** 2).sum(axis=(-2, -1))
-    det = w[..., 0, 0] * w[..., 1, 1] - w[..., 0, 1] * w[..., 1, 0]
-    disc = np.maximum(t**2 - 4 * np.abs(det) ** 2, 0.0)
-    return (t + np.sqrt(disc)) / 2
+# The closure scan walks (residual, grid point) pairs in chunks of whole
+# residual rows whose scratch (float t, complex det and float sigma^2: 32
+# bytes a pair) stays within this many bytes, or within one row when a row
+# is larger.
+_SCAN_CHUNK_BYTES = 2**21
+_SCAN_PAIR_BYTES = 32
+
+
+def _closure_scan(residuals: np.ndarray, grid: np.ndarray) -> tuple[int, float]:
+    """Best (residual, grid point) pair of a closure scan, and its sigma_max^2.
+
+    residuals is (R, 2, 4): residual r splits into the 2x2 matrices M_0 =
+    residuals[r, 0] and M_1 = residuals[r, 1] (row-major), one per state of
+    the scanned site.  Grid point g closes them to W = sum_a conj(g_a) M_a,
+    whose largest squared singular value is (t + sqrt(t^2 - 4 |det W|^2)) / 2
+    with t = |W|_F^2.  Both t and det W are quadratic forms in g, so a chunk
+    of rows takes one real (rows, 4) @ (4, G) product for t and one complex
+    (rows, 3) @ (3, G) product for det.  Returns the flat index r * G + g of
+    the first maximum in row-major order, and the maximum.
+    """
+    x, y = grid[:, 0].conj(), grid[:, 1].conj()
+    xy = x * y.conj()
+    t_feat = np.stack([np.abs(x) ** 2, np.abs(y) ** 2, xy.real, xy.imag])
+    det_feat = np.stack([x * x, x * y, y * y])
+    m0, m1 = residuals[:, 0], residuals[:, 1]
+    k01 = (m0 * m1.conj()).sum(axis=1)
+    t_coef = np.stack(
+        [(np.abs(m0) ** 2).sum(axis=1), (np.abs(m1) ** 2).sum(axis=1), 2 * k01.real, -2 * k01.imag],
+        axis=1,
+    )
+    # det(x A + y B) = x^2 det A + x y (A00 B11 + A11 B00 - A01 B10 - A10 B01) + y^2 det B.
+    a00, a01, a10, a11 = m0.T
+    b00, b01, b10, b11 = m1.T
+    det_coef = np.stack(
+        [
+            a00 * a11 - a01 * a10,
+            a00 * b11 + a11 * b00 - a01 * b10 - a10 * b01,
+            b00 * b11 - b01 * b10,
+        ],
+        axis=1,
+    )
+    r, g = residuals.shape[0], grid.shape[0]
+    rows = min(r, max(1, _SCAN_CHUNK_BYTES // (_SCAN_PAIR_BYTES * g)))
+    t_buf, det_buf, sig_buf = np.empty((rows, g)), np.empty((rows, g), complex), np.empty((rows, g))
+    best, best_sig = 0, -1.0
+    for lo in range(0, r, rows):
+        n = min(rows, r - lo)
+        t, det, sig = t_buf[:n], det_buf[:n], sig_buf[:n]
+        np.matmul(t_coef[lo : lo + n], t_feat, out=t)
+        np.matmul(det_coef[lo : lo + n], det_feat, out=det)
+        np.abs(det, out=sig)
+        sig *= sig
+        sig *= -4.0
+        # det is spent once |det| is taken; its real parts hold t^2.
+        np.multiply(t, t, out=det.real)
+        sig += det.real
+        np.maximum(sig, 0.0, out=sig)
+        np.sqrt(sig, out=sig)
+        sig += t
+        i = int(np.argmax(sig))
+        if sig.flat[i] > best_sig:
+            best, best_sig = lo * g + i, float(sig.flat[i])
+    return best, best_sig / 2
 
 
 def eg_bruteforce(state: PureState, grid_points_per_axis: int = DEFAULT_GRID) -> EgEstimate:
@@ -321,7 +378,10 @@ def eg_bruteforce(state: PureState, grid_points_per_axis: int = DEFAULT_GRID) ->
     Bloch-sphere grid (grid_points_per_axis polar x azimuthal points each);
     for every grid combination the final two sites are closed exactly through
     the top singular value of the residual 2x2 matrix, which dominates any
-    grid on those sites.  The best candidate is then refined by 50
+    grid on those sites.  The scan streams over the combinations in chunks
+    of at most _SCAN_CHUNK_BYTES of scratch (see _closure_scan), so its
+    memory grows with the number of grid points per site, not with the
+    number of combinations.  The first best candidate is then refined by 50
     alternating sweeps of the eg_alternating kernel.  With grid >=
     CERTIFIED_GRID the basin resolution is fine enough to certify; coarser
     grids are reported as heuristic.
@@ -342,25 +402,25 @@ def eg_bruteforce(state: PureState, grid_points_per_axis: int = DEFAULT_GRID) ->
     if n == 1:
         start = state.amplitudes
     else:
-        grid = _bloch_grid(grid_points_per_axis)
-        g2 = grid.shape[0]
         tensor = _site_tensor(state)
         if n == 2:
-            w = tensor[np.newaxis, ...]
-        elif n == 3:
-            w = (grid.conj() @ tensor.reshape(2, 4)).reshape(g2, 2, 2)
+            scanned, w = [], tensor
         else:
-            t1 = (grid.conj() @ tensor.reshape(2, 8)).reshape(g2, 2, 4)
-            w = (grid.conj() @ t1).reshape(g2 * g2, 2, 2)
-        sig = _batch_sigma_max_sq(w)
-        best = int(np.argmax(sig))
-        # w[best] pairs with grid point best (N = 3), or with grid points
-        # divmod(best, g2) on sites 0 and 1 (N = 4).
-        scanned = {2: (), 3: (best,), 4: divmod(best, g2)}[n]
+            grid = _bloch_grid(grid_points_per_axis)
+            # Residuals on sites N-3..N-1: the tensor itself (N = 3), or one
+            # per grid point on site 0 (N = 4).
+            if n == 3:
+                residuals = tensor.reshape(1, 2, 4)
+            else:
+                residuals = (grid.conj() @ tensor.reshape(2, 8)).reshape(-1, 2, 4)
+            best, _ = _closure_scan(residuals, grid)
+            r, g = divmod(best, grid.shape[0])
+            scanned = [grid[r], grid[g]] if n == 4 else [grid[g]]
+            w = (grid.conj() @ residuals[r])[g].reshape(2, 2)
         # Overlap against the residual pair is a^H W conj(b), maximized by
         # a = u_max and b = conj(v_max) = vh row.
-        u, _, vh = np.linalg.svd(w[best])
-        start = [grid[q] for q in scanned] + [u[:, 0], vh[0, :]]
+        u, _, vh = np.linalg.svd(w)
+        start = scanned + [u[:, 0], vh[0, :]]
     factors = np.array(start, dtype=complex).reshape(1, n, 2)
     _alternate(state.amplitudes, factors, None, 50)
 

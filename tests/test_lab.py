@@ -563,6 +563,23 @@ class TestRunTail:
         assert [r.exceed_count for r in rows] == counts
         assert all(c > 0 for c in counts)
 
+    def test_haar_memory_is_flat_in_the_dimension(self):
+        # One buffer of at most _TAIL_CHUNK_BYTES at D = 2^10 and at 2^14,
+        # plus the per-sample arrays (overlaps, and a block's running first
+        # and total sums) and numpy's fixed ufunc buffers.
+        samples = 1000
+        bound = lab._TAIL_CHUNK_BYTES + 4 * 8 * samples + 3 * np.getbufsize() * 16 + 64 * 1024
+        # A first call pays for imports that numpy's random module defers.
+        lab.run_tail("haar", 4, samples, [1.0], seed=5)
+        for num_sites in (10, 14):
+            tracemalloc.start()
+            try:
+                lab.run_tail("haar", num_sites, samples, [1.0], seed=5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound
+
     def test_tail_csv(self, tmp_path):
         rows = lab.run_tail("haar", 4, 1000, [1.0, 2.0], seed=0)
         path = tmp_path / "tail.csv"
