@@ -1,10 +1,15 @@
 """Command line front end.
 
 Exit codes: 0 success; 1 usage error, before any work or output file (bad
-flags or flag combinations, state specs and eg search parameters that lab
-rejects as StateSpecError, branch trees over locc.BRANCH_BUDGET_BYTES); 2
-runtime error (missing or malformed input files, bad JSON, unknown ensemble
-kinds, protocols or eg methods in a config, failed computations).
+flags or flag combinations, inputs that a library check rejects as
+StateSpecError, branch trees over locc.BRANCH_BUDGET_BYTES); 2 runtime error
+(missing or malformed input files, bad JSON, unknown ensemble kinds,
+protocols or eg methods in a config, failed computations).
+
+Input rules live in four library checks, which the CLI runs before it builds a
+state: lab.check_state, workbounds.check_eg, locc.check_protocol and lab.run_tail
+(before its first draw).  The CLI checks only which flags a command needs; its
+exit codes are unchanged by where a check lives.
 
 Subcommands:
     work        all work figures for one state
@@ -25,21 +30,18 @@ import numpy as np
 from . import ensembles, graphs, lab, locc, workbounds
 
 class UsageError(Exception):
-    """Bad flag combination or out-of-range request; exits 1."""
+    """Bad flag or flag combination; exits 1."""
 
 
-def _parse_int_list(text: str) -> list:
+# Library checks name an input by its parameter; usage errors name its flag.
+_FLAGS = {"alphas": "--alphas", "cut": "--cut", "prune_below": "--prune"}
+
+
+def _parse_list(text: str, kind=int) -> list:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        return [kind(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
-        raise UsageError(f"bad integer list {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise UsageError(f"bad number list {text!r}") from exc
+        raise UsageError(f"bad {'integer' if kind is int else 'number'} list {text!r}") from exc
 
 
 def _add_state_flags(p: argparse.ArgumentParser) -> None:
@@ -79,8 +81,8 @@ def _state_spec(args) -> dict:
 def _cmd_work(args) -> int:
     spec = _state_spec(args)
     rng_seed = args.seed if args.seed is not None else 0
-    lab._check_eg(args.eg_method, spec["num_sites"], args.local_dim,
-                  restarts=args.restarts, grid=args.grid, seed=rng_seed)
+    workbounds.check_eg(args.eg_method, spec["num_sites"], args.local_dim,
+                        restarts=args.restarts, grid=args.grid, seed=rng_seed)
     state, graph = lab.build_state(**spec)
     report = lab.work_report(
         state,
@@ -104,32 +106,19 @@ def _cmd_work(args) -> int:
 
 def _cmd_eg(args) -> int:
     spec = _state_spec(args)
-    n = spec["num_sites"]
-    if args.method == "schmidt":
-        cut = tuple(_parse_int_list(args.cut))
-        if (not cut or any(b <= a for a, b in zip(cut, cut[1:])) or cut[0] < 0
-                or cut[-1] >= n or len(cut) >= n):
-            raise UsageError(
-                f"--cut must list sites of 0..{n - 1} in increasing order, at least one "
-                f"and not all of them; got {args.cut!r}"
-            )
+    cut = tuple(_parse_list(args.cut)) if args.method == "schmidt" else None
     rng_seed = args.seed if args.seed is not None else 0
-    lab._check_eg(args.method, n, args.local_dim,
-                  restarts=args.restarts, grid=args.grid, seed=rng_seed)
+    workbounds.check_eg(args.method, spec["num_sites"], args.local_dim,
+                        restarts=args.restarts, grid=args.grid, seed=rng_seed, cut=cut)
     state, _ = lab.build_state(**spec)
     if args.method == "schmidt":
         value = workbounds.eg_schmidt(state, cut)
-        cert = workbounds.CERT_SCHMIDT if state.num_sites == 2 else "cut_lower_bound"
+        cert = workbounds.CERT_SCHMIDT if state.num_sites == 2 else workbounds.CERT_CUT_LOWER
         print(f"eg_value {value!r}")
         print(f"eg_cert {cert}")
         return 0
-    est = lab.eg_estimate(
-        state,
-        args.method,
-        restarts=args.restarts,
-        grid=args.grid,
-        rng_seed=rng_seed,
-    )
+    est = lab.eg_estimate(state, args.method, restarts=args.restarts, grid=args.grid,
+                          rng_seed=rng_seed)
     print(f"eg_value {est.value!r}")
     print(f"eg_cert {est.certification}")
     print(f"restarts_used {est.restarts_used}")
@@ -140,17 +129,7 @@ def _cmd_protocol(args) -> int:
     spec = _state_spec(args)
     lab.check_state(**spec)
     protocol = locc.load_protocol(args.file)
-    if protocol.num_sites != spec["num_sites"]:
-        raise UsageError(
-            f"protocol acts on {protocol.num_sites} sites but the state has {spec['num_sites']}"
-        )
-    if protocol.local_dim != spec["local_dim"]:
-        raise UsageError(
-            f"protocol measures sites of dimension {protocol.local_dim} but the state's "
-            f"have dimension {spec['local_dim']}"
-        )
-    if args.prune < 0 or args.prune > 1e-12:
-        raise UsageError("--prune must lie in [0, 1e-12]")
+    locc.check_protocol(protocol, spec["num_sites"], spec["local_dim"], args.prune)
     state, _ = lab.build_state(**spec)
     tree = locc.execute(protocol, state, prune_below=args.prune)
     work = locc.protocol_work(tree)
@@ -180,20 +159,11 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_tail(args) -> int:
-    alphas = _parse_float_list(args.alphas)
-    if not alphas or any(a <= 0 for a in alphas):
-        raise UsageError("--alphas must list positive values")
+    alphas = _parse_list(args.alphas, float)
     if args.ensemble == "circuit" and (args.depth is None or args.design_order is None):
         raise UsageError("circuit tails require --depth and --design-order")
-    rows = lab.run_tail(
-        args.ensemble,
-        args.n,
-        args.samples,
-        alphas,
-        args.seed,
-        depth=args.depth,
-        design_order=args.design_order,
-    )
+    rows = lab.run_tail(args.ensemble, args.n, args.samples, alphas, args.seed,
+                        depth=args.depth, design_order=args.design_order)
     if args.output:
         lab.tail_to_csv(rows, args.output)
         print(f"wrote {len(rows)} rows to {args.output}")
@@ -210,7 +180,7 @@ def _cmd_graph_gen(args) -> int:
     else:
         if not args.dims:
             raise UsageError(f"{args.kind} lattices require --dims")
-        g = graphs.gen_lattice(args.kind, tuple(_parse_int_list(args.dims)))
+        g = graphs.gen_lattice(args.kind, tuple(_parse_list(args.dims)))
     graphs.save_graph(g, args.output)
     ind = graphs.greedy_independent_set(g)
     print(f"vertices {g.num_vertices}")
@@ -234,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_work.add_argument(
         "--eg-method",
         default="alternating",
-        choices=("alternating", "bruteforce", "none"),
+        choices=(*lab.EG_METHODS, "none"),
         help="exponent estimator for the upper bound",
     )
     p_work.add_argument("--restarts", type=int, default=workbounds.DEFAULT_RESTARTS)
@@ -246,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eg.add_argument(
         "--method",
         default="alternating",
-        choices=("alternating", "bruteforce", "schmidt"),
+        choices=(*lab.EG_METHODS, "schmidt"),
     )
     p_eg.add_argument("--restarts", type=int, default=workbounds.DEFAULT_RESTARTS)
     p_eg.add_argument("--grid", type=int, default=workbounds.DEFAULT_GRID)
@@ -309,7 +279,8 @@ def cli_main(argv=None) -> int:
     try:
         return args.func(args)
     except (UsageError, lab.StateSpecError, locc.BranchBudgetError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        word, sep, rest = str(exc).partition(" ")
+        print(f"usage error: {_FLAGS.get(word, word)}{sep}{rest}", file=sys.stderr)
         return 1
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -35,9 +35,6 @@ class Graph:
         out = [j if i == v else i for i, j in self.edges if v in (i, j)]
         return tuple(sorted(out))
 
-    def degree(self, v: int) -> int:
-        return sum(1 for i, j in self.edges if v in (i, j))
-
     def degrees(self) -> list[int]:
         degs = [0] * self.num_vertices
         for i, j in self.edges:

@@ -9,8 +9,9 @@ regardless of execution order.  Rows are emitted in (N, sample) order.
 
 check_state is the one judge of a state spec (a family, N and its
 parameters) and allocates nothing; build_state runs it, then builds the
-state; work_report evaluates one state.  The CLI, ExperimentConfig (every N)
-and run_tail check first, so a bad spec fails before any work or file.
+state; work_report evaluates one state.  The CLI, ExperimentConfig (every N,
+with workbounds.check_eg for its eg search) and run_tail check first, so a
+bad spec fails before any work or file.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ensembles, graphs, locc, workbounds
-from .qstate import PureState
+from .qstate import PureState, StateSpecError
 
 CSV_HEADER = (
     "ensemble,N,sample,seed,w_global,w_local,eg_value,eg_cert,"
@@ -65,10 +66,6 @@ MAX_DENSE_SITES = 24
 _STATE_KINDS = ("ghz", "zero", "w", "plus", "haar", "circuit", "subset", "graph") + GRAPH_KINDS
 _SEEDED_KINDS = ("haar", "circuit", "subset", "random_graph")
 _QUBIT_KINDS = ("w", "plus", "subset", "graph") + GRAPH_KINDS
-
-
-class StateSpecError(ValueError):
-    """A state spec, or eg search parameters, that no run can use; raised before allocating."""
 
 
 def derive_row_seed(base_seed: int, num_sites: int, sample_index: int) -> int:
@@ -156,8 +153,8 @@ class ExperimentConfig:
         object.__setattr__(self, "protocols", menu)
         for n in self.n_values:
             check_state(**self._state_spec(n, self.seed))
-            _check_eg(self.eg_method, n, self.local_dim, restarts=self.eg_restarts,
-                      grid=self.eg_grid, seed=self.seed)
+            workbounds.check_eg(self.eg_method, n, self.local_dim, restarts=self.eg_restarts,
+                                grid=self.eg_grid, seed=self.seed)
 
     def _state_spec(self, num_sites: int, seed: int) -> dict:
         """check_state / build_state keywords for one row."""
@@ -300,26 +297,6 @@ def _lattice_dims(kind: str, num_sites: int, rows: int | None) -> tuple:
     return (rows, num_sites // rows)
 
 
-def _check_eg(method, num_sites: int, local_dim: int, *, restarts: int, grid: int,
-              seed: int) -> None:
-    """Raises StateSpecError where eg_estimate would reject its parameters on
-    a state of this size: alternating needs restarts >= 1 and a seed >= 0,
-    bruteforce needs qubit sites, at most 4 of them, and grid >= 2; other
-    methods pass."""
-    if method == "alternating":
-        if restarts < 1:
-            raise StateSpecError("eg restarts must be >= 1")
-        if seed < 0:
-            raise StateSpecError("the alternating eg search needs a seed >= 0")
-    if method == "bruteforce":
-        if local_dim != 2:
-            raise StateSpecError("bruteforce exponent search handles qubit sites only")
-        if num_sites > 4:
-            raise StateSpecError("bruteforce exponent search is limited to 4 sites")
-        if grid < 2:
-            raise StateSpecError("bruteforce exponent search needs grid >= 2")
-
-
 def build_state(kind: str, num_sites: int, *, seed: int | None = None, local_dim: int = 2,
                 depth: int | None = None, rows: int | None = None, k: int | None = None,
                 source=None):
@@ -423,13 +400,20 @@ def run_tail(
 
     "haar" rows test Prob[overlap >= 4*alpha/D] against 2*exp(-C1*alpha);
     "circuit" rows (depth required) test Prob[overlap >= alpha/D] against
-    (t/alpha)^t with t = design_order.  At least 1000 samples required.
+    (t/alpha)^t with t = design_order.  Before the first draw, alphas (none,
+    or any not > 0) and specs raise StateSpecError; an unknown ensemble, under
+    1000 samples, or a circuit without design_order >= 1 raise ValueError.
     """
+    alphas = list(alphas)
+    if not alphas or not all(a > 0 for a in alphas):
+        raise StateSpecError("alphas must list positive values")
     if ensemble_kind not in ("haar", "circuit"):
         raise ValueError(f"unknown tail ensemble {ensemble_kind!r}")
     check_state(ensemble_kind, num_sites, seed=seed, depth=depth)
     if samples < 1000:
         raise ValueError("tail estimates need at least 1000 samples")
+    if ensemble_kind == "circuit" and (design_order is None or design_order < 1):
+        raise ValueError("circuit tail needs design_order >= 1")
     dim = 2**num_sites
     if ensemble_kind == "haar":
         # Blocks of 20 000 rows, real parts drawn before imaginary parts, fix
@@ -451,8 +435,6 @@ def run_tail(
                     total[lo : lo + len(x)] += np.einsum("ij,ij->i", x, x)
             overlaps[start : start + m] = first / total
     else:
-        if design_order is None or design_order < 1:
-            raise ValueError("circuit tail needs design_order >= 1")
         # Sample i is the circuit seeded seed + i; chunks run batched.
         spec = ensembles.CircuitSpec(num_sites, depth, seed)
         overlaps = np.concatenate(
@@ -461,8 +443,6 @@ def run_tail(
 
     out = []
     for alpha in alphas:
-        if alpha <= 0:
-            raise ValueError("alpha must be positive")
         if ensemble_kind == "haar":
             threshold = 4.0 * alpha / dim
             bound = 2.0 * math.exp(-TAIL_C1 * alpha)

@@ -28,6 +28,7 @@ import numpy as np
 from .graphs import Graph, greedy_independent_set
 from .qstate import (
     PureState,
+    StateSpecError,
     apply_kraus_vector,
     shannon_entropy,
     site_entropies,
@@ -443,6 +444,20 @@ def _batches(protocol: Protocol, rnd: int, branches: _Branches):
         start += size
 
 
+def check_protocol(protocol: Protocol, num_sites: int, local_dim: int,
+                   prune_below: float) -> None:
+    """Raises StateSpecError where execute would reject this protocol on a
+    state of this shape; allocates nothing."""
+    n, d = protocol.num_sites, protocol.local_dim
+    if n != num_sites:
+        raise StateSpecError(f"protocol acts on {n} sites but the state has {num_sites}")
+    if d != local_dim:
+        raise StateSpecError(
+            f"protocol measures sites of dimension {d} but the state's have dimension {local_dim}")
+    if not 0.0 <= prune_below <= 1e-12:
+        raise StateSpecError("prune_below must lie in [0, 1e-12]")
+
+
 def execute(protocol: Protocol, state: PureState, prune_below: float = 0.0) -> BranchTree:
     """Expand the full branch tree of a protocol on a state.
 
@@ -458,13 +473,10 @@ def execute(protocol: Protocol, state: PureState, prune_below: float = 0.0) -> B
     dropped_mass.  Leaf states are normalized.  BranchBudgetError is raised
     before a step would take the tree's arrays over BRANCH_BUDGET_BYTES:
     residuals, dense site columns, and each child's probability, keep mask,
-    parent index and outcome indices.
+    parent index and outcome indices.  check_protocol runs first.
     """
-    if not 0.0 <= prune_below <= 1e-12:
-        raise ValueError("prune_below must lie in [0, 1e-12]")
-    if state.num_sites != protocol.num_sites or state.local_dim != protocol.local_dim:
-        raise ValueError("state shape does not match protocol")
     n, d = state.num_sites, state.local_dim
+    check_protocol(protocol, n, d, prune_below)
     blocks = [_Branches((), (), (None,) * n, state.amplitudes[np.newaxis].copy())]
     dropped = 0.0
     for rnd in range(protocol.num_rounds):

@@ -24,6 +24,10 @@ EIG_CLAMP = 1e-12
 _MARGINAL_CHUNK_BYTES = 2**20
 
 
+class StateSpecError(ValueError):
+    """An input no run can use; the checks that raise it allocate nothing."""
+
+
 @dataclass(frozen=True)
 class SiteSubset:
     """Strictly increasing tuple of distinct site indices."""

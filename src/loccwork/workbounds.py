@@ -21,6 +21,7 @@ from .qstate import (
     DensityOperator,
     PureState,
     SiteSubset,
+    StateSpecError,
     _as_sites,
     _matricize,
     site_entropies,
@@ -31,6 +32,8 @@ from .qstate import (
 CERT_BRUTEFORCE = "bruteforce_certified"
 CERT_SCHMIDT = "schmidt_exact"
 CERT_HEURISTIC = "heuristic_local_max"
+# A Schmidt value across a cut of a state of 3+ sites: a lower bound on E.
+CERT_CUT_LOWER = "cut_lower_bound"
 
 # eg search defaults, read by lab and the CLI: alternating restarts, and
 # bruteforce grid points per axis.  A bruteforce grid of at least
@@ -39,6 +42,37 @@ CERT_HEURISTIC = "heuristic_local_max"
 DEFAULT_RESTARTS = 32
 CERTIFIED_GRID = 24
 DEFAULT_GRID = CERTIFIED_GRID
+# Largest bruteforce grid; the N = 4 scan grows as points^4 (2.8 s at 128, 2 vCPU).
+MAX_GRID = 128
+
+
+def check_eg(method, num_sites: int, local_dim: int, *, restarts: int = DEFAULT_RESTARTS,
+             grid: int = DEFAULT_GRID, seed: int | None = None, cut=(0,)) -> None:
+    """Raises StateSpecError where an eg search would reject its parameters
+    on a state of this shape; allocates nothing.  alternating: restarts >= 1,
+    seed >= 0 or None; bruteforce: at most 4 qubit sites, 2 <= grid <=
+    MAX_GRID; schmidt: a nonempty, strictly increasing, proper subset of
+    0..N-1 as the cut.  Other methods pass."""
+    if method == "alternating":
+        if restarts < 1:
+            raise StateSpecError("eg restarts must be >= 1")
+        if seed is not None and seed < 0:
+            raise StateSpecError("the alternating eg search needs a seed >= 0")
+    elif method == "bruteforce":
+        if local_dim != 2:
+            raise StateSpecError("bruteforce exponent search handles qubit sites only")
+        if num_sites > 4:
+            raise StateSpecError("bruteforce exponent search is limited to 4 sites")
+        if grid < 2:
+            raise StateSpecError("bruteforce exponent search needs grid >= 2")
+        if grid > MAX_GRID:
+            raise StateSpecError(f"bruteforce exponent search needs grid <= {MAX_GRID}")
+    elif method == "schmidt":
+        sites = tuple(cut.sites if isinstance(cut, SiteSubset) else cut)
+        if (not sites or any(b <= a for a, b in zip(sites, sites[1:])) or sites[0] < 0
+                or sites[-1] >= num_sites or len(sites) >= num_sites):
+            raise StateSpecError(f"cut must list sites of 0..{num_sites - 1} in increasing order, "
+                                 f"at least one and not all of them; got {list(sites)}")
 
 
 @dataclass(frozen=True)
@@ -257,9 +291,10 @@ def eg_alternating(
     certification is heuristic_local_max, meaning the reported exponent is
     an upper bound on the true one by an unknown margin.
     """
-    if restarts < 1 or max_iters < 1 or tol <= 0:
-        raise ValueError("restarts and max_iters must be >= 1 and tol > 0")
     n, d = state.num_sites, state.local_dim
+    check_eg("alternating", n, d, restarts=restarts, seed=rng_seed)
+    if max_iters < 1 or tol <= 0:
+        raise ValueError("max_iters must be >= 1 and tol > 0")
     factors = _random_factors(n, d, restarts, rng_seed)
     overlaps, unconverged = _alternate(state.amplitudes, factors, tol, max_iters)
     maximizer = ProductState(_fix_phases(factors[int(np.argmax(overlaps))]))
@@ -285,12 +320,10 @@ def eg_schmidt(state: PureState, cut: SiteSubset | tuple = (0,)) -> float:
 
     Exact product-overlap exponent for two-site states; for more sites it is
     a lower bound on the exponent (the best bipartite product beats any full
-    product across the same cut).
+    product across the same cut).  check_eg judges the cut.
     """
-    sites = _as_sites(cut)
-    if not sites or sites[-1] >= state.num_sites or len(sites) >= state.num_sites:
-        raise ValueError("cut must be a nonempty strict subset of sites")
-    mat = _matricize(state, sites)
+    check_eg("schmidt", state.num_sites, state.local_dim, cut=cut)
+    mat = _matricize(state, _as_sites(cut))
     smax = float(np.linalg.svd(mat, compute_uv=False)[0])
     return float(-np.log(smax**2))
 
@@ -374,30 +407,26 @@ def _closure_scan(residuals: np.ndarray, grid: np.ndarray) -> tuple[int, float]:
 def eg_bruteforce(state: PureState, grid_points_per_axis: int = DEFAULT_GRID) -> EgEstimate:
     """Certified small-system search for the product-overlap exponent.
 
-    Qubits only, at most 4 sites.  The first N-2 sites are scanned over a
-    Bloch-sphere grid (grid_points_per_axis polar x azimuthal points each);
-    for every grid combination the final two sites are closed exactly through
-    the top singular value of the residual 2x2 matrix, which dominates any
-    grid on those sites.  The scan streams over the combinations in chunks
-    of at most _SCAN_CHUNK_BYTES of scratch (see _closure_scan), so its
-    memory grows with the number of grid points per site, not with the
-    number of combinations.  The first best candidate is then refined by 50
-    alternating sweeps of the eg_alternating kernel.  With grid >=
-    CERTIFIED_GRID the basin resolution is fine enough to certify; coarser
-    grids are reported as heuristic.
+    Qubits only, at most 4 sites, 2 <= grid_points_per_axis <= MAX_GRID
+    (check_eg, before any allocation).  The first N-2 sites are scanned over
+    a Bloch-sphere grid (grid_points_per_axis polar x azimuthal points
+    each); for every grid combination the final two sites are closed exactly
+    through the top singular value of the residual 2x2 matrix, which
+    dominates any grid on those sites.  The scan streams over the
+    combinations in chunks of at most _SCAN_CHUNK_BYTES of scratch (see
+    _closure_scan), so its memory grows with the number of grid points per
+    site, not with the number of combinations.  The first best candidate is
+    then refined by 50 alternating sweeps of the eg_alternating kernel.
+    With grid >= CERTIFIED_GRID the basin resolution is fine enough to
+    certify; coarser grids are reported as heuristic.
 
     For N >= 2 the grid start is then compared with an 8-restart
     eg_alternating run, so restarts_used is 9 (the grid start plus those 8
     restarts) and unconverged is that run's count; for N = 1 they are 1
     and 0.
     """
-    if state.local_dim != 2:
-        raise ValueError("bruteforce search is qubit-only")
     n = state.num_sites
-    if n > 4:
-        raise ValueError("bruteforce search limited to 4 sites")
-    if grid_points_per_axis < 2:
-        raise ValueError("need at least 2 grid points per axis")
+    check_eg("bruteforce", n, state.local_dim, grid=grid_points_per_axis)
 
     if n == 1:
         start = state.amplitudes

@@ -121,6 +121,10 @@ class TestExitCodes:
         (None, ({"kind": "haar", "local_dim": 1}, [2], {}), "usage error: local_dim must be >= 2"),
         (("work", "--state", "ghz", "--n", "3", "--seed", "-1"), None, "seed >= 0"),
         (("eg", "--state", "ghz", "--n", "3", "--seed", "-1"), None, "seed >= 0"),
+        (("eg", "--state", "ghz", "--n", "3", "--method", "bruteforce", "--grid", "129"), None,
+         "grid <= 128"),
+        (None, ({"kind": "haar"}, [2, 3], {"eg": {"method": "bruteforce", "grid": 129}}),
+         "grid <= 128"),
     ])
     def test_spec_errors_exit_one_before_any_state_or_file(self, capsys, tmp_path, monkeypatch,
                                                            argv, config, message):

@@ -243,6 +243,8 @@ class TestConfig:
             make_config(eg_restarts=0)
         with pytest.raises(lab.StateSpecError, match="grid"):
             make_config(eg_method="bruteforce", eg_grid=1)
+        with pytest.raises(lab.StateSpecError, match="grid"):
+            make_config(eg_method="bruteforce", eg_grid=129)
         with pytest.raises(lab.StateSpecError, match="4 sites"):
             make_config(eg_method="bruteforce", n_values=(4, 5))
         with pytest.raises(lab.StateSpecError, match="qubit"):
@@ -539,6 +541,20 @@ class TestRunTail:
             lab.run_tail("circuit", 4, 1000, [1.0], seed=0, depth=None, design_order=2)
         with pytest.raises(ValueError):
             lab.run_tail("circuit", 4, 1000, [1.0], seed=0, depth=2, design_order=None)
+
+    @pytest.mark.parametrize("ensemble, alphas", [
+        ("haar", [-1.0]),
+        ("haar", []),
+        ("circuit", [1.0, 0.0]),
+    ])
+    def test_bad_alphas_raise_before_any_draw(self, monkeypatch, ensemble, alphas):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a sample was drawn")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        monkeypatch.setattr(ensembles, "sample_circuits", no_draw)
+        with pytest.raises(lab.StateSpecError, match="alphas must list positive values"):
+            lab.run_tail(ensemble, 14, 20000, alphas, seed=0, depth=2, design_order=2)
 
     def test_seed_stability_across_runs(self):
         # Two independent runs agree to within each other's 99% interval.

@@ -1,5 +1,7 @@
 """Tests for measurement protocols, branch trees, and certified work."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from loccwork.locc import (
     static_protocol,
     subset_protocol,
 )
+from loccwork.qstate import StateSpecError
 from loccwork.workbounds import w_local
 
 LN2 = np.log(2.0)
@@ -265,6 +268,17 @@ def test_best_lower_bound_tie_keeps_first():
     object.__setattr__(b, "name", "null-again")
     value, name = best_lower_bound(s, [a, b])
     assert name == "null"
+
+
+@pytest.mark.parametrize("protocol, prune, message", [
+    (null_protocol(2, 3), 0.0,
+     "protocol measures sites of dimension 3 but the state's have dimension 2"),
+    (null_protocol(3), 0.0, "protocol acts on 3 sites but the state has 2"),
+    (null_protocol(2), 1e-6, "prune_below must lie in [0, 1e-12]"),
+])
+def test_execute_rejects_with_the_cli_wording(protocol, prune, message):
+    with pytest.raises(StateSpecError, match=re.escape(message)):
+        execute(protocol, ghz_state(2), prune_below=prune)
 
 
 def test_protocol_work_identity_invariant():

@@ -4,6 +4,7 @@ The Schmidt oracle here reshapes by explicit index arithmetic and calls the
 SVD directly, independent of the package's matricization helper.
 """
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,7 +16,8 @@ import loccwork
 
 from loccwork.ensembles import ghz_state, graph_state, plus_state, w_state, zero_state
 from loccwork.graphs import gen_lattice
-from loccwork.qstate import DensityOperator, PureState
+from loccwork import workbounds
+from loccwork.qstate import DensityOperator, PureState, StateSpecError
 from loccwork.workbounds import (
     CERT_BRUTEFORCE,
     CERT_HEURISTIC,
@@ -229,6 +231,26 @@ def test_eg_bruteforce_rejects_unsupported_inputs():
         eg_bruteforce(random_pure(5, seed=0))
     with pytest.raises(ValueError):
         eg_bruteforce(random_pure(2, seed=0, d=3))
+
+
+@pytest.mark.parametrize("search, message", [
+    pytest.param(lambda s: eg_schmidt(s, ()), "cut must list sites of 0..2", id="empty-cut"),
+    pytest.param(lambda s: eg_schmidt(s, (0, 1, 2)), "cut must list sites of 0..2",
+                 id="every-site"),
+    pytest.param(lambda s: eg_schmidt(s, (1, 0)), "cut must list sites of 0..2", id="unordered"),
+    pytest.param(lambda s: eg_schmidt(s, (5,)), "cut must list sites of 0..2", id="out-of-range"),
+    pytest.param(lambda s: eg_bruteforce(s, grid_points_per_axis=129), "grid <= 128",
+                 id="grid-cap"),
+    pytest.param(lambda s: eg_alternating(s, rng_seed=-1), "seed >= 0", id="negative-seed"),
+])
+def test_eg_searches_raise_spec_errors_before_any_work(monkeypatch, search, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    for name in ("_matricize", "_bloch_grid", "_random_factors", "_alternate"):
+        monkeypatch.setattr(workbounds, name, no_work)
+    with pytest.raises(StateSpecError, match=re.escape(message)):
+        search(ghz_state(3))
 
 
 def test_w_locc_upper_values():
