@@ -18,7 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, read_lines
 from .qstate import PureState, apply_two_site_vector, make_pure
 
 _COMPLEX_BYTES = 16
@@ -263,8 +263,8 @@ def save_subset_spec(spec: SubsetSpec, path: str | Path) -> None:
 
 
 def load_subset_spec(path: str | Path) -> SubsetSpec:
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    """Read save_subset_spec's format; # starts a comment (graphs.read_lines)."""
+    lines = [text for _, text in read_lines(path)]
     if not lines:
         raise ValueError(f"{path}: no bitstrings found")
     return SubsetSpec(len(lines[0]), tuple(lines))

@@ -227,6 +227,14 @@ def max_independent_set_bruteforce(g: Graph) -> IndependentSet:
     return IndependentSet(g, verts)
 
 
+def read_lines(path: str | Path) -> list[tuple[int, str]]:
+    """(1-based line number, text) of each line of a graph, support or
+    protocol file that is not blank once a # and all after it are cut."""
+    lines = enumerate(Path(path).read_text().splitlines(), start=1)
+    cut = ((lineno, raw.partition("#")[0].strip()) for lineno, raw in lines)
+    return [(lineno, text) for lineno, text in cut if text]
+
+
 def save_graph(g: Graph, path: str | Path) -> None:
     """Edge-list text format: first line is the vertex count, then one
     0-indexed "i j" pair per line."""
@@ -236,9 +244,9 @@ def save_graph(g: Graph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> Graph:
-    """Read the edge-list format written by save_graph; malformed lines raise."""
-    raw = [ln.strip() for ln in Path(path).read_text().splitlines()]
-    lines = [ln for ln in raw if ln and not ln.startswith("#")]
+    """Read the edge-list format written by save_graph; # starts a comment
+    (see read_lines) and malformed lines raise."""
+    lines = [text for _, text in read_lines(path)]
     if not lines:
         raise ValueError(f"{path}: empty graph file")
     try:

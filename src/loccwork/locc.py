@@ -16,8 +16,10 @@ entropies vanish and the figure reduces to N ln d - H.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,16 +27,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .graphs import Graph, greedy_independent_set
+from .graphs import Graph, greedy_independent_set, read_lines
 from .qstate import (
     PureState,
     StateSpecError,
+    _fix_phases,
     apply_kraus_vector,
     shannon_entropy,
     site_entropies,
     site_marginals,
 )
-from .workbounds import _fix_phases
 
 COMPLETENESS_ATOL = 1e-9
 NULL_LABEL = "phi"
@@ -101,12 +103,22 @@ def _rank_one_factors(mats: list) -> tuple | None:
     return arrays
 
 
+def _one_per_dim(build):
+    """Cache a standard measurement's constructor on (class, site dimension),
+    however the integer dimension is passed: each kind is built and checked
+    once per dimension, and every caller holds the same object."""
+    cached = functools.cache(build)
+    return functools.wraps(build)(lambda cls, local_dim=2: cached(cls, operator.index(local_dim)))
+
+
 @dataclass(frozen=True)
 class SiteMeasurement:
     """A complete Kraus set for one site: ((label, matrix), ...).
 
     Labels are distinct strings; sum K^dag K must equal the identity within
     1e-9.  The trivial measurement is the identity with label "phi".
+    null, z_basis and x_basis return one shared object per site dimension;
+    it is immutable, its arrays read-only.
     rank_one holds the factors execute slices a site with (see
     _rank_one_factors), or None when some operator is not rank-one;
     identity is True for a lone identity operator, which execute skips.
@@ -150,19 +162,17 @@ class SiteMeasurement:
         return self.ops[0][1].shape[0]
 
     @classmethod
+    @_one_per_dim
     def null(cls, local_dim: int = 2) -> "SiteMeasurement":
         return cls(((NULL_LABEL, np.eye(local_dim)),))
 
     @classmethod
+    @_one_per_dim
     def z_basis(cls, local_dim: int = 2) -> "SiteMeasurement":
-        ops = []
-        for j in range(local_dim):
-            proj = np.zeros((local_dim, local_dim))
-            proj[j, j] = 1.0
-            ops.append((str(j), proj))
-        return cls(tuple(ops))
+        return cls(tuple((str(j), np.diag(e)) for j, e in enumerate(np.eye(local_dim))))
 
     @classmethod
+    @functools.cache
     def x_basis(cls) -> "SiteMeasurement":
         plus = np.full((2, 2), 0.5)
         minus = np.array([[0.5, -0.5], [-0.5, 0.5]])
@@ -279,19 +289,20 @@ def _step(branches: _Branches, rnd: int, site: int, m: SiteMeasurement, d: int,
           prune_below: float, held: int) -> tuple:
     """Measure one site of every branch: (children in outcome order, pruned mass).
 
-    A rank-one operator slices the site: its rows contract an open site out
-    of the residual, as out of the dense vector, so exact zeros stay exact,
-    or their overlaps with a sliced site's column scale the residual.  Any
-    other operator acts in one batched call on the residual, or on the
-    site's columns, whose new norms scale the residual.  held counts the
-    bytes of the rest of the tree (see _Branches.nbytes).
+    Every operator acts in one batched apply_kraus_vector call, on the
+    residual or on the site's columns.  A rank-one operator goes in as its
+    (1, d) row and slices the site: the row contracts an open site out of
+    the residual, as out of the dense vector, so exact zeros stay exact, or
+    its overlap with a sliced site's column scales the residual.  Any other
+    operator keeps the site; on a sliced site, the norms of its new columns
+    scale the residual.  held counts the bytes of the rest of the tree.
     """
     count, rank_one = len(m.ops), m.rank_one is not None
     sliced = list(branches.sliced)
     column, width = sliced[site], branches.residual.shape[1]
     dense = sum(isinstance(c, np.ndarray) for c in sliced)
     if rank_one:
-        rows, _, weights = m.rank_one
+        kraus, weights = m.rank_one[0][:, np.newaxis], m.rank_one[2]
         sliced[site] = rnd
         dense -= isinstance(column, np.ndarray)
     else:
@@ -305,20 +316,15 @@ def _step(branches: _Branches, rnd: int, site: int, m: SiteMeasurement, d: int,
         open_sites = branches.open_sites
         pos = open_sites.index(site)
         _check_budget(held + len(branches) * count * child, "measuring the branches")
+        grown = apply_kraus_vector(branches.residual[:, np.newaxis], len(open_sites), d, pos, kraus)
         if rank_one:
-            t = branches.residual.reshape(-1, d ** (len(open_sites) - pos - 1), d, d**pos)
-            grown = np.einsum("kj,bajc->bkac", rows, t).reshape(len(branches), count, width)
             grown *= np.sqrt(weights)[:, np.newaxis]
-        else:
-            grown = apply_kraus_vector(
-                branches.residual[:, np.newaxis], len(open_sites), d, pos, kraus
-            )
         probs = _norm2(grown).ravel()
     else:
+        out = apply_kraus_vector(branches.columns(site)[:, np.newaxis], 1, d, 0, kraus)
         if rank_one:
-            factor = np.einsum("kj,bj->bk", rows, branches.columns(site)) * np.sqrt(weights)
+            factor = out[..., 0] * np.sqrt(weights)
         else:
-            out = apply_kraus_vector(branches.columns(site)[:, np.newaxis], 1, d, 0, kraus)
             factor = np.sqrt(_norm2(out))
         probs = (_norm2(branches.residual)[:, np.newaxis] * np.abs(factor) ** 2).ravel()
     keep = probs >= prune_below if prune_below else probs > 0.0
@@ -654,27 +660,15 @@ def best_lower_bound(
     return float(best_value), best_name
 
 
-def _parse_op_line(parts: list, path, lineno: int) -> tuple[str, np.ndarray]:
-    if len(parts) != 10:
-        raise ValueError(f"{path}:{lineno}: op line needs a label and 8 numbers")
-    label = parts[1]
-    try:
-        vals = [float(x) for x in parts[2:]]
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: non-numeric matrix entry")
-    m = np.array(
-        [
-            [vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]],
-            [vals[4] + 1j * vals[5], vals[6] + 1j * vals[7]],
-        ]
-    )
-    return label, m
+# The measurement tokens every protocol file may use, resolved before its
+# named blocks.
+_TOKENS = {"Z": SiteMeasurement.z_basis, "X": SiteMeasurement.x_basis, "null": SiteMeasurement.null}
 
 
 def load_protocol(path: str | Path) -> Protocol:
     """Read a protocol description file.
 
-    Format (one directive per line, # comments allowed):
+    Format (one directive per line; # starts a comment, see graphs.read_lines):
 
         sites N
         measurement NAME          # optional custom blocks
@@ -682,62 +676,53 @@ def load_protocol(path: str | Path) -> Protocol:
         end
         round TOK TOK ... TOK     # N tokens: Z, X, null, or a NAME
 
-    Every measurement block must form a complete Kraus set.
+    Every measurement block must form a complete Kraus set.  Z, X and null
+    (_TOKENS) are the shared standard measurements and shadow blocks of the
+    same name.
     """
     path = Path(path)
-    num_sites = None
-    named: dict = {}
-    rounds: list = []
-    block_name = None
-    block_ops: list = []
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    num_sites, block_name = None, None
+    named, rounds, block_ops = {}, [], []
+    for lineno, line in read_lines(path):
         parts = line.split()
-        key = parts[0]
+        key, where = parts[0], f"{path}:{lineno}"
         if block_name is not None:
             if key == "op":
-                block_ops.append(_parse_op_line(parts, path, lineno))
+                if len(parts) != 10:
+                    raise ValueError(f"{where}: op line needs a label and 8 numbers")
+                try:
+                    re_im = np.array([float(x) for x in parts[2:]])
+                except ValueError:
+                    raise ValueError(f"{where}: non-numeric matrix entry")
+                block_ops.append((parts[1], re_im.view(complex).reshape(2, 2)))
                 continue
             if key == "end":
                 if not block_ops:
-                    raise ValueError(f"{path}:{lineno}: empty measurement block")
+                    raise ValueError(f"{where}: empty measurement block")
                 named[block_name] = SiteMeasurement(tuple(block_ops))
                 block_name, block_ops = None, []
                 continue
-            raise ValueError(f"{path}:{lineno}: expected op/end inside measurement block")
+            raise ValueError(f"{where}: expected op/end inside measurement block")
         if key == "sites":
             if len(parts) != 2 or not parts[1].isdigit():
-                raise ValueError(f"{path}:{lineno}: sites directive needs a count")
+                raise ValueError(f"{where}: sites directive needs a count")
             num_sites = int(parts[1])
         elif key == "measurement":
             if len(parts) != 2:
-                raise ValueError(f"{path}:{lineno}: measurement directive needs a name")
+                raise ValueError(f"{where}: measurement directive needs a name")
             block_name, block_ops = parts[1], []
         elif key == "round":
             if num_sites is None:
-                raise ValueError(f"{path}:{lineno}: sites must come before rounds")
+                raise ValueError(f"{where}: sites must come before rounds")
             tokens = parts[1:]
             if len(tokens) != num_sites:
-                raise ValueError(
-                    f"{path}:{lineno}: round has {len(tokens)} tokens, expected {num_sites}"
-                )
-            row = []
-            for tok in tokens:
-                if tok == "Z":
-                    row.append(SiteMeasurement.z_basis())
-                elif tok == "X":
-                    row.append(SiteMeasurement.x_basis())
-                elif tok == "null":
-                    row.append(SiteMeasurement.null())
-                elif tok in named:
-                    row.append(named[tok])
-                else:
-                    raise ValueError(f"{path}:{lineno}: unknown measurement token {tok!r}")
-            rounds.append(row)
+                raise ValueError(f"{where}: round has {len(tokens)} tokens, expected {num_sites}")
+            try:
+                rounds.append([_TOKENS[t]() if t in _TOKENS else named[t] for t in tokens])
+            except KeyError as exc:
+                raise ValueError(f"{where}: unknown measurement token {exc.args[0]!r}") from None
         else:
-            raise ValueError(f"{path}:{lineno}: unknown directive {key!r}")
+            raise ValueError(f"{where}: unknown directive {key!r}")
     if block_name is not None:
         raise ValueError(f"{path}: unterminated measurement block {block_name!r}")
     if not rounds:

@@ -266,18 +266,29 @@ def overlap(a: PureState, b: PureState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
+def _fix_phases(factors: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rephase each factor so its largest-magnitude entry is real positive."""
+    out = []
+    for f in factors:
+        idx = int(np.argmax(np.abs(f)))
+        ph = f[idx] / abs(f[idx]) if abs(f[idx]) > 0 else 1.0
+        out.append(f / ph)
+    return tuple(out)
+
+
 def apply_kraus_vector(
     amplitudes: np.ndarray, num_sites: int, local_dim: int, site: int, kraus: np.ndarray
 ) -> np.ndarray:
-    """Apply a single-site operator to a raw (possibly unnormalized) vector.
+    """Apply a single-site map (e, d), such as a (d, d) operator or a (1, d)
+    row that contracts the site out, to a raw (possibly unnormalized) vector.
 
     Leading axes are batch axes that broadcast: amplitudes (..., d**N) and
-    kraus (..., d, d), so B vectors of shape (B, 1, d**N) take a set of k
-    operators (k, d, d) in one call, giving (B, k, d**N).
+    kraus (..., e, d), so B vectors of shape (B, 1, d**N) take a set of k
+    maps (k, e, d) in one call, giving (B, k, e * d**(N-1)).
     """
     d = local_dim
-    if kraus.shape[-2:] != (d, d):
-        raise ValueError(f"Kraus operator shape {kraus.shape}, expected (..., {d}, {d})")
+    if kraus.ndim < 2 or kraus.shape[-1] != d:
+        raise ValueError(f"Kraus operator shape {kraus.shape}, expected (..., e, {d})")
     if not 0 <= site < num_sites:
         raise ValueError(f"site {site} out of range")
     t = amplitudes.reshape(amplitudes.shape[:-1] + (d ** (num_sites - site - 1), d, d**site))

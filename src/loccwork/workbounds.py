@@ -23,6 +23,7 @@ from .qstate import (
     SiteSubset,
     StateSpecError,
     _as_sites,
+    _fix_phases,
     _matricize,
     site_entropies,
     site_marginals,
@@ -162,16 +163,6 @@ def w_local(state: PureState) -> float:
     """sum_n (ln d - S(rho_n)): work available without any communication."""
     marginals = site_marginals(state.amplitudes[np.newaxis], state.num_sites, state.local_dim)
     return float((np.log(state.local_dim) - site_entropies(marginals[0])).sum())
-
-
-def _fix_phases(factors: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Rephase each factor so its largest-magnitude entry is real positive."""
-    out = []
-    for f in factors:
-        idx = int(np.argmax(np.abs(f)))
-        ph = f[idx] / abs(f[idx]) if abs(f[idx]) > 0 else 1.0
-        out.append(f / ph)
-    return tuple(out)
 
 
 # Restarts are swept in chunks whose suffix contractions hold at most this
@@ -329,14 +320,17 @@ def eg_schmidt(state: PureState, cut: SiteSubset | tuple = (0,)) -> float:
 
 
 def _bloch_grid(points_per_axis: int) -> np.ndarray:
-    """(G^2, 2) array of qubit states over a polar x azimuthal grid."""
+    """(G (G - 2) + 2, 2) array of qubit states over a G polar x G azimuthal
+    grid, in row-major order.  Every azimuth on a pole is the same state up
+    to phase, so each pole keeps only its azimuth-0 point."""
     theta = np.linspace(0.0, np.pi, points_per_axis)
     phi = np.linspace(0.0, 2 * np.pi, points_per_axis, endpoint=False)
     th, ph = np.meshgrid(theta, phi, indexing="ij")
     states = np.stack(
         [np.cos(th / 2), np.sin(th / 2) * np.exp(1j * ph)], axis=-1
     )
-    return states.reshape(-1, 2)
+    keep = (th > 0.0) & (th < np.pi) | (ph == 0.0)
+    return states[keep]
 
 
 # The closure scan walks (residual, grid point) pairs in chunks of whole

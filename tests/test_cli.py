@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -321,6 +322,16 @@ class TestProtocol:
     def test_malformed_file(self, capsys, tmp_path):
         path = self.write_protocol(tmp_path, "sites two\n")
         assert run(capsys, "protocol", "--file", path, "--state", "ghz", "--n", "2")[0] == 2
+
+    def test_readme_example_runs(self, capsys, tmp_path):
+        # The README's protocol-file example, trailing comments and all.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        body = re.search(r"Protocol file:.*?\n```\n(.*?)```", readme, re.S).group(1)
+        assert "# one token per site" in body
+        path = self.write_protocol(tmp_path, body)
+        code, out, err = run(capsys, "protocol", "--file", path, "--state", "ghz", "--n", "2")
+        assert code == 0, err
+        assert parse_kv(out)["protocol"] == "proto"
 
     def test_bad_prune(self, capsys, tmp_path):
         path = self.write_protocol(tmp_path, "sites 2\nround Z Z\n")

@@ -227,6 +227,9 @@ def test_subset_spec_file_round_trip(tmp_path):
     save_subset_spec(spec, p)
     back = load_subset_spec(p)
     assert back == spec
+    # # starts a comment anywhere on a line, as in protocol files.
+    p.write_text("# support\n" + "".join(f"{s}  # s\n" for s in spec.support))
+    assert load_subset_spec(p) == spec
 
 
 def test_load_subset_spec_rejects_malformed(tmp_path):

@@ -150,6 +150,11 @@ def test_graph_file_round_trip(tmp_path):
     save_graph(g, p)
     assert load_graph(p).edges == g.edges
     assert load_graph(p).num_vertices == g.num_vertices
+    # # starts a comment anywhere on a line, as in protocol files.
+    lines = p.read_text().splitlines()
+    p.write_text("# a 3x3 torus\n" + "".join(f"{ln}   # edge {i}\n" for i, ln in enumerate(lines)))
+    assert load_graph(p).edges == g.edges
+    assert load_graph(p).num_vertices == g.num_vertices
 
 
 @pytest.mark.parametrize(

@@ -296,15 +296,42 @@ end
 round Z X null
 round HAD Z Z
 """
+    # The same file with a comment after every directive: # starts a
+    # comment anywhere on a line.
+    commented = "".join(f"{line}   # note {i}\n" for i, line in enumerate(text.splitlines()))
+    state = random_state(3, seed=31)
+    trees = []
+    for body in (text, commented):
+        p = tmp_path / "proto.txt"
+        p.write_text(body)
+        proto = load_protocol(p)
+        assert proto.num_sites == 3 and proto.num_rounds == 2
+        tree = execute(proto, state)
+        assert abs(tree.total_probability - 1.0) < 1e-8
+        # The custom block is the +/- projector pair, so round 2 site 0
+        # labels must be h0/h1.
+        assert {leaf.history[1][0] for leaf in tree.leaves} <= {"h0", "h1"}
+        trees.append(tree)
+    assert trees[0].outcome_distribution() == trees[1].outcome_distribution()
+
+
+def test_standard_measurements_are_one_shared_object_each(tmp_path):
+    z, x, null = SiteMeasurement.z_basis(), SiteMeasurement.x_basis(), SiteMeasurement.null()
+    # However the site dimension is passed, each kind is one object per dimension.
+    assert SiteMeasurement.z_basis(2) is z and SiteMeasurement.z_basis(local_dim=2) is z
+    assert SiteMeasurement.null(2) is null and SiteMeasurement.null(np.int64(2)) is null
+    assert SiteMeasurement.z_basis(3) is SiteMeasurement.z_basis(3) is not z
+    assert SiteMeasurement.x_basis() is x
+    with pytest.raises(TypeError):  # as before caching, not the cached qubit null
+        SiteMeasurement.null(2.0)
     p = tmp_path / "proto.txt"
-    p.write_text(text)
-    proto = load_protocol(p)
-    assert proto.num_sites == 3 and proto.num_rounds == 2
-    tree = execute(proto, random_state(3, seed=31))
-    assert abs(tree.total_probability - 1.0) < 1e-8
-    # The custom block is the +/- projector pair, so round 2 site 0 labels
-    # must be h0/h1.
-    assert {leaf.history[1][0] for leaf in tree.leaves} <= {"h0", "h1"}
+    p.write_text("sites 3\nround Z X null\n")
+    got = load_protocol(p).strategy(1, ())
+    assert len(got) == 3 and all(a is b for a, b in zip(got, [z, x, null]))
+    row = independent_set_protocol(gen_lattice("cycle", (6,))).strategy(1, ())
+    assert {id(m) for m in row} == {id(z), id(x)}
+    assert all(m is z for m in subset_protocol(4).strategy(1, ()))
+    assert all(m is null for m in null_protocol(4).strategy(1, ()))
 
 
 @pytest.mark.parametrize(

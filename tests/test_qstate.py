@@ -259,19 +259,22 @@ def test_apply_kraus_unitary_preserves_norm():
     ((3, 1), (2,)), ((3,), ()), ((), (3,)), ((2, 3), (3,)),
 ])
 def test_apply_kraus_batch_axes_match_kron(d, site, vec_batch, op_batch):
-    # The operator on site `site` of 3 sites is kron(I, K, I) in little-endian layout.
+    # The map on site `site` of 3 sites is kron(I, K, I) in little-endian
+    # layout, for a (d, d) operator and for a (1, d) row, which contracts
+    # the site out.
     n = 3
     rng = np.random.default_rng(10 * d + site)
     vecs = rng.standard_normal(vec_batch + (d**n, 2)) @ np.array([1.0, 1j])
-    ops = rng.standard_normal(op_batch + (d, d, 2)) @ np.array([1.0, 1j])
-    out = apply_kraus_vector(vecs, n, d, site, ops)
     batch = np.broadcast_shapes(vec_batch, op_batch)
-    assert out.shape == batch + (d**n,)
-    vecs, ops = np.broadcast_to(vecs, batch + (d**n,)), np.broadcast_to(ops, batch + (d, d))
-    for idx in np.ndindex(*batch):
-        full = np.kron(np.kron(np.eye(d ** (n - site - 1)), ops[idx]), np.eye(d**site))
-        assert np.abs(out[idx] - full @ vecs[idx]).max() < 1e-12
-        assert np.array_equal(out[idx], apply_kraus_vector(vecs[idx], n, d, site, ops[idx]))
+    for e in (d, 1):
+        ops = rng.standard_normal(op_batch + (e, d, 2)) @ np.array([1.0, 1j])
+        out = apply_kraus_vector(vecs, n, d, site, ops)
+        assert out.shape == batch + (e * d ** (n - 1),)
+        vb, ob = np.broadcast_to(vecs, batch + (d**n,)), np.broadcast_to(ops, batch + (e, d))
+        for idx in np.ndindex(*batch):
+            full = np.kron(np.kron(np.eye(d ** (n - site - 1)), ob[idx]), np.eye(d**site))
+            assert np.abs(out[idx] - full @ vb[idx]).max() < 1e-12
+            assert np.array_equal(out[idx], apply_kraus_vector(vb[idx], n, d, site, ob[idx]))
 
 
 def test_apply_kraus_rejects_bad_operator_and_site():

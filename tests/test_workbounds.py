@@ -190,6 +190,18 @@ def test_eg_schmidt_lower_bounds_alternating():
         assert eg_schmidt(s, (0,)) <= est.value + 1e-9
 
 
+@pytest.mark.parametrize("points", [2, 3, 6, 24])
+def test_bloch_grid_holds_each_state_once(points):
+    # Every azimuth on a pole is one state up to phase, so each pole keeps
+    # one point: G (G - 2) + 2 points, no two equal up to phase.
+    grid = workbounds._bloch_grid(points)
+    assert grid.shape == (points * (points - 2) + 2, 2)
+    assert np.allclose(np.linalg.norm(grid, axis=1), 1.0, atol=1e-15)
+    overlaps = np.abs(grid.conj() @ grid.T)
+    np.fill_diagonal(overlaps, 0.0)
+    assert overlaps.max() < 1 - 1e-9
+
+
 def test_eg_bruteforce_plus_plus():
     est = eg_bruteforce(plus_state(2), grid_points_per_axis=24)
     assert abs(est.value) < 1e-9
