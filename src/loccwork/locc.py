@@ -121,11 +121,16 @@ class SiteMeasurement:
     it is immutable, its arrays read-only.
     rank_one holds the factors execute slices a site with (see
     _rank_one_factors), or None when some operator is not rank-one;
+    kraus is the read-only (count, e, d) stack execute applies: rank_one's
+    rows as (1, d) maps, else the operators; root_weights is the square root
+    of rank_one's weights, or None;
     identity is True for a lone identity operator, which execute skips.
     """
 
     ops: tuple
     rank_one: tuple | None = field(init=False, default=None, repr=False, compare=False)
+    kraus: np.ndarray = field(init=False, default=None, repr=False, compare=False)
+    root_weights: np.ndarray | None = field(init=False, default=None, repr=False, compare=False)
     identity: bool = field(init=False, default=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -154,7 +159,16 @@ class SiteMeasurement:
         if not np.allclose(total, np.eye(dim), atol=COMPLETENESS_ATOL, rtol=0.0):
             raise ValueError("incomplete Kraus set: sum K^dag K != identity within 1e-9")
         object.__setattr__(self, "ops", tuple(ops))
-        object.__setattr__(self, "rank_one", _rank_one_factors([m for _, m in ops]))
+        rank_one = _rank_one_factors([m for _, m in ops])
+        if rank_one is None:
+            kraus, root_weights = np.array([m for _, m in ops]), None
+        else:
+            kraus, root_weights = rank_one[0][:, np.newaxis], np.sqrt(rank_one[2])
+            root_weights.flags.writeable = False
+        kraus.flags.writeable = False
+        object.__setattr__(self, "rank_one", rank_one)
+        object.__setattr__(self, "kraus", kraus)
+        object.__setattr__(self, "root_weights", root_weights)
         object.__setattr__(self, "identity", len(ops) == 1 and np.array_equal(m, np.eye(dim)))
 
     @property
@@ -302,11 +316,9 @@ def _step(branches: _Branches, rnd: int, site: int, m: SiteMeasurement, d: int,
     column, width = sliced[site], branches.residual.shape[1]
     dense = sum(isinstance(c, np.ndarray) for c in sliced)
     if rank_one:
-        kraus, weights = m.rank_one[0][:, np.newaxis], m.rank_one[2]
         sliced[site] = rnd
         dense -= isinstance(column, np.ndarray)
     else:
-        kraus = np.array([k for _, k in m.ops])
         dense += isinstance(column, int)
     if column is None and rank_one:
         width //= d
@@ -316,14 +328,15 @@ def _step(branches: _Branches, rnd: int, site: int, m: SiteMeasurement, d: int,
         open_sites = branches.open_sites
         pos = open_sites.index(site)
         _check_budget(held + len(branches) * count * child, "measuring the branches")
-        grown = apply_kraus_vector(branches.residual[:, np.newaxis], len(open_sites), d, pos, kraus)
+        grown = apply_kraus_vector(branches.residual[:, np.newaxis], len(open_sites), d, pos,
+                                   m.kraus)
         if rank_one:
-            grown *= np.sqrt(weights)[:, np.newaxis]
+            grown *= m.root_weights[:, np.newaxis]
         probs = _norm2(grown).ravel()
     else:
-        out = apply_kraus_vector(branches.columns(site)[:, np.newaxis], 1, d, 0, kraus)
+        out = apply_kraus_vector(branches.columns(site)[:, np.newaxis], 1, d, 0, m.kraus)
         if rank_one:
-            factor = out[..., 0] * np.sqrt(weights)
+            factor = out[..., 0] * m.root_weights
         else:
             factor = np.sqrt(_norm2(out))
         probs = (_norm2(branches.residual)[:, np.newaxis] * np.abs(factor) ** 2).ravel()

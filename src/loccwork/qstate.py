@@ -50,9 +50,7 @@ class SiteSubset:
 
 
 def _as_sites(keep: SiteSubset | Iterable[int]) -> tuple[int, ...]:
-    if isinstance(keep, SiteSubset):
-        return keep.sites
-    return SiteSubset(tuple(keep)).sites
+    return keep.sites if isinstance(keep, SiteSubset) else SiteSubset(tuple(keep)).sites
 
 
 @dataclass(frozen=True)
@@ -124,9 +122,7 @@ def make_pure(amplitudes: Sequence[complex], num_sites: int, local_dim: int = 2)
     """
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.shape != (local_dim**num_sites,):
-        raise ValueError(
-            f"amplitude count {amps.size} does not match {local_dim}**{num_sites}"
-        )
+        raise ValueError(f"amplitude count {amps.size} does not match {local_dim}**{num_sites}")
     nrm = np.linalg.norm(amps)
     if nrm == 0.0:
         raise ValueError("zero amplitude vector")
@@ -276,6 +272,19 @@ def _fix_phases(factors: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(out)
 
 
+def _apply_block(amps: np.ndarray, n: int, d: int, site: int, width: int, op: np.ndarray):
+    """One matmul applies a (..., e, m) map to the m = d**width sites from `site`
+    on: (..., d**N) vectors give (..., e * d**(N - width)).  At site 0, the fastest
+    axis, the (..., A, m) view times the map's transpose, one GEMM per vector, not
+    A matrix-vector products; elsewhere the map left-multiplies (..., A, m, d**site)."""
+    shape = amps.shape[:-1] + (d ** (n - site - width), d**width)
+    if site == 0:
+        out = amps.reshape(shape) @ np.swapaxes(op, -1, -2)
+        return out.reshape(out.shape[:-2] + (-1,))
+    out = op[..., np.newaxis, :, :] @ amps.reshape(shape + (d**site,))
+    return out.reshape(out.shape[:-3] + (-1,))
+
+
 def apply_kraus_vector(
     amplitudes: np.ndarray, num_sites: int, local_dim: int, site: int, kraus: np.ndarray
 ) -> np.ndarray:
@@ -284,16 +293,13 @@ def apply_kraus_vector(
 
     Leading axes are batch axes that broadcast: amplitudes (..., d**N) and
     kraus (..., e, d), so B vectors of shape (B, 1, d**N) take a set of k
-    maps (k, e, d) in one call, giving (B, k, e * d**(N-1)).
+    maps (k, e, d) in one call, giving (B, k, e * d**(N-1)); see _apply_block.
     """
-    d = local_dim
-    if kraus.ndim < 2 or kraus.shape[-1] != d:
-        raise ValueError(f"Kraus operator shape {kraus.shape}, expected (..., e, {d})")
+    if kraus.ndim < 2 or kraus.shape[-1] != local_dim:
+        raise ValueError(f"Kraus operator shape {kraus.shape}, expected (..., e, {local_dim})")
     if not 0 <= site < num_sites:
         raise ValueError(f"site {site} out of range")
-    t = amplitudes.reshape(amplitudes.shape[:-1] + (d ** (num_sites - site - 1), d, d**site))
-    out = np.einsum("...ij,...ajb->...aib", kraus, t)
-    return out.reshape(out.shape[:-3] + (-1,))
+    return _apply_block(amplitudes, num_sites, local_dim, site, 1, kraus)
 
 
 def apply_kraus(state: PureState, site: int, kraus: np.ndarray) -> tuple[np.ndarray, float]:
@@ -302,11 +308,9 @@ def apply_kraus(state: PureState, site: int, kraus: np.ndarray) -> tuple[np.ndar
     Returns the unnormalized post-measurement vector and its squared norm,
     which is the outcome probability when the Kraus set is complete.
     """
-    out = apply_kraus_vector(
-        state.amplitudes, state.num_sites, state.local_dim, site, np.asarray(kraus, dtype=complex)
-    )
-    prob = float(np.vdot(out, out).real)
-    return out, prob
+    kraus = np.asarray(kraus, dtype=complex)
+    out = apply_kraus_vector(state.amplitudes, state.num_sites, state.local_dim, site, kraus)
+    return out, float(np.vdot(out, out).real)
 
 
 def apply_two_site_vector(
@@ -316,15 +320,11 @@ def apply_two_site_vector(
 
     The gate is a (d**2, d**2) matrix over the pair basis |z_site + d*z_{site+1}>,
     i.e. little-endian within the pair, matching the global convention.
-    Leading axes are batch axes that broadcast: amplitudes (..., d**N) and
-    gate (..., d**2, d**2), so a stack of S vectors takes one gate or S gates
-    in one batched matmul.
+    Leading axes broadcast as in apply_kraus_vector: a stack of S vectors
+    takes one gate or S gates (..., d**2, d**2) in one call; see _apply_block.
     """
-    d = local_dim
     if site < 0 or site + 1 >= num_sites:
         raise ValueError(f"pair ({site}, {site + 1}) out of range")
-    if gate.shape[-2:] != (d * d, d * d):
-        raise ValueError(f"gate shape {gate.shape}, expected (..., {d * d}, {d * d})")
-    t = amplitudes.reshape(amplitudes.shape[:-1] + (d ** (num_sites - site - 2), d * d, d**site))
-    out = gate[..., None, :, :] @ t
-    return out.reshape(out.shape[:-3] + (-1,))
+    if gate.shape[-2:] != (local_dim**2,) * 2:
+        raise ValueError(f"gate shape {gate.shape}, expected (..., {local_dim**2}, {local_dim**2})")
+    return _apply_block(amplitudes, num_sites, local_dim, site, 2, gate)

@@ -334,6 +334,20 @@ def test_standard_measurements_are_one_shared_object_each(tmp_path):
     assert all(m is null for m in null_protocol(4).strategy(1, ()))
 
 
+def test_step_maps_are_built_once_and_read_only():
+    # execute applies m.kraus: a rank-one set's rows as (1, d) maps, scaled
+    # by root_weights, or else the stacked operators.
+    hi, lo = np.sqrt(0.8), np.sqrt(0.2)
+    weak = SiteMeasurement((("w0", np.diag([hi, lo])), ("w1", np.diag([lo, hi]))))
+    x = SiteMeasurement.x_basis()
+    rows, _, weights = x.rank_one
+    assert np.array_equal(x.kraus, rows[:, np.newaxis])
+    assert np.array_equal(x.root_weights, np.sqrt(weights))
+    assert np.array_equal(weak.kraus, np.array([k for _, k in weak.ops]))
+    assert weak.root_weights is None
+    assert not any(a.flags.writeable for a in (x.kraus, x.root_weights, weak.kraus))
+
+
 @pytest.mark.parametrize(
     "body",
     [

@@ -337,6 +337,70 @@ def test_apply_two_site_rejects_bad_gate_and_pair():
         apply_two_site_vector(v, 3, 2, 2, np.eye(4))
 
 
+def _complex_normal(rng, shape: tuple) -> np.ndarray:
+    return rng.standard_normal(shape + (2,)) @ np.array([1.0, 1j])
+
+
+def _in_layout(a: np.ndarray, layout: str, last_axes: int) -> np.ndarray:
+    """a's values as a C-contiguous array, a strided view or a read-only array.
+
+    A strided vector stack is every other entry of a wider buffer; a strided
+    operator stack is the transposed view of its transposed copy.
+    """
+    if layout == "strided" and last_axes == 1:
+        wide = np.zeros(a.shape[:-1] + (2 * a.shape[-1],), dtype=a.dtype)
+        wide[..., ::2] = a
+        return wide[..., ::2]
+    if layout == "strided":
+        return np.ascontiguousarray(np.swapaxes(a, -1, -2)).swapaxes(-1, -2)
+    a = a.copy()
+    a.flags.writeable = layout != "readonly"
+    return a
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "strided", "readonly"])
+@pytest.mark.parametrize("vec_batch, op_batch", [((2, 1), (3,)), ((3,), ()), ((), (3,))])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", [2, 3])
+def test_local_kernels_match_kron_at_every_block(d, n, vec_batch, op_batch, layout):
+    # Both public kernels at every block position of N sites: a (1, d) row and
+    # a (d, d) map on one site and a (d**2, d**2) gate on two act as
+    # kron(I, op, I) in little-endian layout.  Either operand's batch axes
+    # broadcast against the other's, and strided or read-only inputs give the
+    # same result as contiguous ones.
+    rng = np.random.default_rng(100 * d + 10 * n + len(vec_batch))
+    vecs = _in_layout(_complex_normal(rng, vec_batch + (d**n,)), layout, 1)
+    batch = np.broadcast_shapes(vec_batch, op_batch)
+    kernels = [(apply_kraus_vector, 1, 1), (apply_kraus_vector, 1, d),
+               (apply_two_site_vector, 2, d * d)]
+    for kernel, width, e in kernels:
+        for site in range(n - width + 1):
+            ops = _in_layout(_complex_normal(rng, op_batch + (e, d**width)), layout, 2)
+            out = kernel(vecs, n, d, site, ops)
+            assert out.shape == batch + (e * d ** (n - width),)
+            vb = np.broadcast_to(vecs, batch + (d**n,))
+            ob = np.broadcast_to(ops, batch + (e, d**width))
+            for idx in np.ndindex(*batch):
+                full = np.kron(np.kron(np.eye(d ** (n - site - width)), ob[idx]), np.eye(d**site))
+                assert np.abs(out[idx] - full @ vb[idx]).max() < 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("site", [0, 1])
+def test_rank_one_row_on_zero_block_is_exact_zero(d, site):
+    # Site 0 takes the right-multiply layout, site 1 of 3 the left-multiply
+    # one.  Every block (the d amplitudes that differ only at the site) with
+    # outer index 1 is zero, so the row's output there is exactly 0.0.
+    n = 3
+    rng = np.random.default_rng(d + 10 * site)
+    vecs = _complex_normal(rng, (2, d**n))
+    vecs.reshape(2, d ** (n - site - 1), d, d**site)[:, 1] = 0.0
+    out = apply_kraus_vector(vecs, n, d, site, _complex_normal(rng, (1, d)))
+    blocks = out.reshape(2, d ** (n - site - 1), d**site)
+    assert np.all(blocks[:, 1] == 0.0)
+    assert np.all(blocks[:, 0] != 0.0)
+
+
 def test_subadditivity_of_marginals():
     for trial in range(20):
         s = random_pure(3, 2, seed=500 + trial)
