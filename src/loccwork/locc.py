@@ -334,7 +334,9 @@ def _step(branches: _Branches, rnd: int, site: int, m: SiteMeasurement, d: int,
             grown *= m.root_weights[:, np.newaxis]
         probs = _norm2(grown).ravel()
     else:
-        out = apply_kraus_vector(branches.columns(site)[:, np.newaxis], 1, d, 0, m.kraus)
+        # The k maps stacked as one (k * e, d) operator: one GEMM for the batch.
+        out = apply_kraus_vector(branches.columns(site), 1, d, 0, m.kraus.reshape(-1, d))
+        out = out.reshape(-1, count, m.kraus.shape[1])
         if rank_one:
             factor = out[..., 0] * m.root_weights
         else:

@@ -11,6 +11,7 @@ outcome at site i.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -176,19 +177,37 @@ def site_marginals(vectors: np.ndarray, num_sites: int, local_dim: int) -> np.nd
 
     The stack is walked in chunks of whole rows within _MARGINAL_CHUNK_BYTES
     (at least one row), so every site's passes over a chunk stay in cache and
-    only the chunk is conjugated.  Diagonal entries are real dot products
-    over the chunk's float64 view; each pair i > j takes one complex einsum.
-    A row larger than a chunk is not conjugated whole: _pair_in_pieces sums
-    each pair over pieces of the row within a chunk.
+    only the chunk is conjugated.  Diagonal entries take one of two routes.
+    The low sites, the most whose digit table fits in a quarter of a chunk
+    (_table_sites: 10 qubits at 1 MiB), take all theirs from one BLAS product:
+    p = |chunk|^2, summed over the digits above them, times the 0/1 table
+    (_digit_table).  A per-site dot product there would run over inner runs
+    of only d**site amplitudes.  Higher sites, whose runs are long, take real
+    dot products over the chunk's float64 view.  Each pair i > j takes one
+    complex einsum.  A row larger than a chunk is not conjugated whole, and
+    no p is built for it: every site takes the dot products, and
+    _pair_in_pieces sums each pair over pieces of the row within a chunk.
     """
     n, d = num_sites, local_dim
     count, dim = vectors.shape
     out = np.empty((count, n, d, d), dtype=complex)
     rows = max(1, _MARGINAL_CHUNK_BYTES // (16 * dim))
+    whole_rows = 16 * dim <= _MARGINAL_CHUNK_BYTES
+    low = _table_sites(n, d) if whole_rows else 0
     for lo in range(0, count, rows):
         chunk = np.ascontiguousarray(vectors[lo : lo + rows], dtype=complex)
         c, flat = len(chunk), chunk.view(float)
-        conj = chunk.conj() if 16 * dim <= _MARGINAL_CHUNK_BYTES else None
+        if low:
+            squares = np.square(flat)
+            p = squares[:, 0::2] + squares[:, 1::2]
+            del squares  # this and p are freed before the chunk is conjugated
+            if d**low < dim:
+                p = p.reshape(c, -1, d**low).sum(axis=1)
+            diagonals = (p @ _digit_table(d, low)).reshape(c, low, d)
+            del p
+            for i in range(d):
+                out[lo : lo + c, :low, i, i] = diagonals[:, :, i]
+        conj = chunk.conj() if whole_rows else None
         for site in range(n):
             shape = (c, d ** (n - site - 1), d, d**site)
             t = chunk.reshape(shape)
@@ -196,7 +215,8 @@ def site_marginals(vectors: np.ndarray, num_sites: int, local_dim: int) -> np.nd
             f = flat.reshape(c, shape[1], d, 2 * d**site)
             block = out[lo : lo + c, site]
             for i in range(d):
-                block[:, i, i] = np.einsum("lak,lak->l", f[:, :, i], f[:, :, i])
+                if site >= low:
+                    block[:, i, i] = np.einsum("lak,lak->l", f[:, :, i], f[:, :, i])
                 for j in range(i):
                     if tc is None:
                         entry = _pair_in_pieces(t, i, j)
@@ -205,6 +225,27 @@ def site_marginals(vectors: np.ndarray, num_sites: int, local_dim: int) -> np.nd
                     block[:, i, j] = entry
                     block[:, j, i] = entry.conj()
     return out
+
+
+def _table_sites(num_sites: int, local_dim: int) -> int:
+    """How many low sites site_marginals gives the digit table: the most, up to
+    num_sites, whose float64 table fits in a quarter of _MARGINAL_CHUNK_BYTES."""
+    low = 0
+    while low < num_sites and 8 * (low + 1) * local_dim ** (low + 2) <= _MARGINAL_CHUNK_BYTES // 4:
+        low += 1
+    return low
+
+
+@functools.cache
+def _digit_table(local_dim: int, low: int) -> np.ndarray:
+    """Read-only 0/1 table of shape (d**low, low * d): entry [k, s * d + i] is 1
+    when digit s of k (little-endian, base d) is i, so probabilities over the
+    low sites' joint values times the table are each site's diagonal."""
+    d = local_dim
+    digits = np.arange(d**low)[:, np.newaxis] // d ** np.arange(low) % d
+    table = (digits[:, :, np.newaxis] == np.arange(d)).reshape(d**low, low * d).astype(float)
+    table.flags.writeable = False
+    return table
 
 
 def _pair_in_pieces(t: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -233,8 +274,28 @@ def _entropy(values: np.ndarray) -> np.ndarray:
 
 def site_entropies(marginals: np.ndarray) -> np.ndarray:
     """Von Neumann entropies in nats of a stack of density matrices
-    (..., d, d), through one batched eigvalsh; no validation."""
-    return _entropy(np.linalg.eigvalsh(marginals))
+    (..., d, d); no validation.
+
+    Qubit marginals (d == 2) take their two eigenvalues in closed form,
+    d >= 3 one batched eigvalsh (see _spectra).  LAPACK pays a fixed cost per
+    matrix: on the 10 240 qubit marginals of 1 024 leaves of N = 10 the
+    closed form takes 0.2 ms against eigvalsh's 5.6 ms.  The eigenvalues
+    agree with eigvalsh's to about 1e-15; von_neumann_entropy, the checked
+    single-matrix path, stays on eigvalsh.
+    """
+    return _entropy(_spectra(marginals))
+
+
+def _spectra(marginals: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of Hermitian (..., d, d) matrices, read
+    from the lower triangle as np.linalg.eigvalsh does: for d == 2,
+    t/2 -+ hypot((a - c)/2, |b|) for [[a, b*], [b, c]] of trace t; for d >= 3,
+    one batched eigvalsh."""
+    if marginals.shape[-1] != 2:
+        return np.linalg.eigvalsh(marginals)
+    a, c = marginals[..., 0, 0].real, marginals[..., 1, 1].real
+    half, radius = (a + c) / 2, np.hypot((a - c) / 2, np.abs(marginals[..., 1, 0]))
+    return np.stack([half - radius, half + radius], axis=-1)
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
@@ -276,8 +337,12 @@ def _apply_block(amps: np.ndarray, n: int, d: int, site: int, width: int, op: np
     """One matmul applies a (..., e, m) map to the m = d**width sites from `site`
     on: (..., d**N) vectors give (..., e * d**(N - width)).  At site 0, the fastest
     axis, the (..., A, m) view times the map's transpose, one GEMM per vector, not
-    A matrix-vector products; elsewhere the map left-multiplies (..., A, m, d**site)."""
+    A matrix-vector products; a single (e, m) map folds every leading axis into
+    one GEMM.  Elsewhere the map left-multiplies (..., A, m, d**site)."""
     shape = amps.shape[:-1] + (d ** (n - site - width), d**width)
+    if site == 0 and op.ndim == 2:
+        out = amps.reshape(-1, d**width) @ op.T
+        return out.reshape(amps.shape[:-1] + (-1,))
     if site == 0:
         out = amps.reshape(shape) @ np.swapaxes(op, -1, -2)
         return out.reshape(out.shape[:-2] + (-1,))

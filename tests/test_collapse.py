@@ -33,6 +33,7 @@ from loccwork.locc import (
     subset_protocol,
 )
 from loccwork.qstate import (
+    DensityOperator,
     PureState,
     apply_kraus_vector,
     reduced_density,
@@ -323,6 +324,11 @@ def _stack(amps, layout):
         pytest.param(2, 4, 7, 3, "strided", id="strided-chunks"),
         pytest.param(3, 3, 5, None, "strided", id="qutrit-strided"),
         pytest.param(2, 4, 7, 3, "readonly", id="readonly-chunks"),
+        # Chunks of 2 rows hold the digit table of 3 low qubits or 2 low
+        # qutrits, so the higher sites take the per-site dot products.
+        pytest.param(2, 6, 5, 2, "contiguous", id="qubit-table-and-dots"),
+        pytest.param(3, 4, 5, 2, "contiguous", id="qutrit-table-and-dots"),
+        pytest.param(2, 6, 5, 2, "strided", id="strided-table-and-dots"),
     ],
 )
 def test_site_kernel_matches_reduced_density(monkeypatch, d, n, count, chunk_rows, layout):
@@ -371,6 +377,69 @@ def test_site_kernel_splits_a_row_larger_than_a_chunk(monkeypatch, d, n):
         tracemalloc.stop()
     assert peak <= out.nbytes + 4 * qstate._MARGINAL_CHUNK_BYTES
     assert np.allclose(out, whole, atol=1e-12 * np.abs(whole).max(), rtol=0)
+
+
+@pytest.mark.parametrize(
+    "d, n, chunk, low",
+    [(2, 10, 2**20, 10), (2, 12, 2**20, 10), (2, 6, 2 * 16 * 2**6, 3), (3, 4, 2 * 16 * 3**4, 2),
+     (3, 3, 2**20, 3), (2, 5, 256, 1)],
+)
+def test_digit_table_fits_a_quarter_chunk(monkeypatch, d, n, chunk, low):
+    # The table covers the most low sites, at most n, whose float64 table fits
+    # in a quarter of a chunk; entry [k, s * d + i] is 1 iff digit s of k is i.
+    monkeypatch.setattr(qstate, "_MARGINAL_CHUNK_BYTES", chunk)
+    assert qstate._table_sites(n, d) == low
+    table = qstate._digit_table(d, low)
+    assert table.nbytes <= chunk // 4 and not table.flags.writeable
+    if low < n:
+        assert (low + 1) * d ** (low + 2) * 8 > chunk // 4
+    for k in range(d**low):
+        for s in range(low):
+            row = table[k, s * d : (s + 1) * d]
+            assert row.tolist() == [float(k // d**s % d == i) for i in range(d)]
+
+
+def _qubit_marginals(rng: np.random.Generator) -> np.ndarray:
+    """(count, 2, 2) Hermitian PSD unit-trace matrices: random mixtures,
+    exactly diagonal ones, pure ones, the zero matrix, the maximally mixed
+    one, and near-pure ones whose small eigenvalue sits around the 1e-12
+    entropy clamp."""
+    def unitaries(count):
+        z = rng.standard_normal((count, 2, 2, 2)) @ np.array([1.0, 1j])
+        return np.linalg.qr(z)[0]
+
+    def with_spectra(low):
+        u = unitaries(len(low))
+        diag = np.stack([low, 1.0 - low], axis=-1)[:, :, np.newaxis] * np.eye(2)
+        rho = u @ diag @ np.swapaxes(u, -1, -2).conj()
+        return (rho + np.swapaxes(rho, -1, -2).conj()) / 2
+
+    diagonal = np.zeros((4, 2, 2), dtype=complex)
+    diagonal[:, 0, 0] = [1.0, 0.0, 0.3, 0.5]
+    diagonal[:, 1, 1] = 1.0 - diagonal[:, 0, 0]
+    return np.concatenate([
+        with_spectra(rng.uniform(0.0, 0.5, 54)),
+        diagonal,
+        with_spectra(np.zeros(10)),
+        np.zeros((1, 2, 2), dtype=complex),
+        np.eye(2)[np.newaxis] / 2,
+        with_spectra(np.repeat([1e-13, 5e-13, 1e-12, 2e-12, 1e-11], 4)),
+    ])
+
+
+def test_closed_form_qubit_spectra_match_eigvalsh():
+    rng = np.random.default_rng(17)
+    marginals = _qubit_marginals(rng)
+    for stack in (marginals, marginals.reshape(5, -1, 2, 2)):
+        values = qstate._spectra(stack)
+        assert values.shape == stack.shape[:-1]
+        assert np.all(values[..., 0] <= values[..., 1])
+        assert np.abs(values - np.linalg.eigvalsh(stack)).max() <= 1e-14
+    # Within 1e-14 of the 1e-12 clamp the two routes may keep or drop the
+    # small eigenvalue, whose term -lam ln lam there is 2.8e-11.
+    states = np.trace(marginals, axis1=1, axis2=2).real > 0
+    reference = [von_neumann_entropy(DensityOperator(m)) for m in marginals[states]]
+    assert np.abs(site_entropies(marginals)[states] - reference).max() <= 3e-11
 
 
 def test_site_kernel_on_product_and_maximally_mixed_marginals():
