@@ -117,8 +117,8 @@ def _cmd_eg(args) -> int:
         print(f"eg_value {value!r}")
         print(f"eg_cert {cert}")
         return 0
-    est = lab.eg_estimate(state, args.method, restarts=args.restarts, grid=args.grid,
-                          rng_seed=rng_seed)
+    est = workbounds.eg_estimate(state, args.method, restarts=args.restarts, grid=args.grid,
+                                 rng_seed=rng_seed)
     print(f"eg_value {est.value!r}")
     print(f"eg_cert {est.certification}")
     print(f"restarts_used {est.restarts_used}")
@@ -204,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_work.add_argument(
         "--eg-method",
         default="alternating",
-        choices=(*lab.EG_METHODS, "none"),
+        choices=(*workbounds.EG_METHODS, "none"),
         help="exponent estimator for the upper bound",
     )
     p_work.add_argument("--restarts", type=int, default=workbounds.DEFAULT_RESTARTS)
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eg.add_argument(
         "--method",
         default="alternating",
-        choices=(*lab.EG_METHODS, "schmidt"),
+        choices=(*workbounds.EG_METHODS, "schmidt"),
     )
     p_eg.add_argument("--restarts", type=int, default=workbounds.DEFAULT_RESTARTS)
     p_eg.add_argument("--grid", type=int, default=workbounds.DEFAULT_GRID)

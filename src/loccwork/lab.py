@@ -56,7 +56,6 @@ _PROTOCOLS = {
         _PROTOCOLS["null"](state, graph), state),
 }
 PROTOCOL_NAMES = tuple(_PROTOCOLS)
-EG_METHODS = ("alternating", "bruteforce")
 
 _SUBSET_K_RULE = re.compile(r"^2\^\(N/([1-9]\d*)\)$")
 
@@ -147,7 +146,7 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
         if isinstance(self.subset_k, str) and not _SUBSET_K_RULE.match(self.subset_k):
             raise ValueError(f'bad k rule {self.subset_k!r}; use an int or "2^(N/D)"')
-        if self.eg_method is not None and self.eg_method not in EG_METHODS:
+        if self.eg_method is not None and self.eg_method not in workbounds.EG_METHODS:
             raise ValueError(f"unknown eg method {self.eg_method!r}")
         menu = _protocol_menu(self.protocols, self.ensemble_kind in GRAPH_KINDS)
         object.__setattr__(self, "protocols", menu)
@@ -482,17 +481,6 @@ class WorkReport:
         _check_figures(self)
 
 
-def eg_estimate(
-    state: PureState, method: str, *, restarts: int, grid: int, rng_seed: int
-) -> workbounds.EgEstimate:
-    """Exponent estimate by the "alternating" or the "bruteforce" search."""
-    if method == "alternating":
-        return workbounds.eg_alternating(state, restarts=restarts, rng_seed=rng_seed)
-    if method == "bruteforce":
-        return workbounds.eg_bruteforce(state, grid_points_per_axis=grid)
-    raise ValueError(f"unknown eg method {method!r}")
-
-
 def work_report(
     state: PureState,
     graph=None,
@@ -518,7 +506,8 @@ def work_report(
     w_l = workbounds.w_local(state) if w_local else None
     eg_value, eg_cert, upper = None, "", None
     if eg_method is not None:
-        est = eg_estimate(state, eg_method, restarts=restarts, grid=grid, rng_seed=rng_seed)
+        est = workbounds.eg_estimate(state, eg_method, restarts=restarts, grid=grid,
+                                     rng_seed=rng_seed)
         upper, eg_cert = workbounds.w_locc_upper(state, est)
         eg_value = est.value
     menu = [_PROTOCOLS[name](state, graph) for name in names]

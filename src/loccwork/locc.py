@@ -366,7 +366,8 @@ def _step(branches: _Branches, rnd: int, site: int, m: SiteMeasurement, d: int,
 
 
 class _LeafView(SequenceABC):
-    """tree.leaves: BranchNode items built only when read."""
+    """tree.leaves: BranchNode items built only when read; a slice is a list
+    of them, each read as one item."""
 
     def __init__(self, tree: "BranchTree") -> None:
         self._tree = tree
@@ -374,7 +375,9 @@ class _LeafView(SequenceABC):
     def __len__(self) -> int:
         return len(self._tree.probabilities)
 
-    def __getitem__(self, i: int) -> BranchNode:
+    def __getitem__(self, i: int | slice) -> BranchNode | list:
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
         tree, count = self._tree, len(self)
         if i < 0:
             i += count

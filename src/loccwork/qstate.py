@@ -12,6 +12,7 @@ outcome at site i.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -29,29 +30,18 @@ class StateSpecError(ValueError):
     """An input no run can use; the checks that raise it allocate nothing."""
 
 
-@dataclass(frozen=True)
-class SiteSubset:
-    """Strictly increasing tuple of distinct site indices."""
-
-    sites: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        sites = tuple(int(s) for s in self.sites)
-        object.__setattr__(self, "sites", sites)
-        if any(s < 0 for s in sites):
-            raise ValueError(f"negative site index in {sites}")
-        if any(b <= a for a, b in zip(sites, sites[1:])):
-            raise ValueError(f"site indices must be strictly increasing, got {sites}")
-
-    def __len__(self) -> int:
-        return len(self.sites)
-
-    def __iter__(self):
-        return iter(self.sites)
-
-
-def _as_sites(keep: SiteSubset | Iterable[int]) -> tuple[int, ...]:
-    return keep.sites if isinstance(keep, SiteSubset) else SiteSubset(tuple(keep)).sites
+def _site_list(keep: Iterable, num_sites: int) -> tuple[int, ...] | None:
+    """The sites of keep as a tuple of ints when every entry is an integer
+    (operator.index: numpy ints pass, 0.7 does not) in 0..num_sites-1, they
+    are strictly increasing and there is at least one; otherwise None."""
+    try:
+        sites = tuple(operator.index(s) for s in keep)
+    except TypeError:
+        return None
+    if (not sites or sites[0] < 0 or sites[-1] >= num_sites
+            or any(b <= a for a, b in zip(sites, sites[1:]))):
+        return None
+    return sites
 
 
 @dataclass(frozen=True)
@@ -132,6 +122,13 @@ def make_pure(amplitudes: Sequence[complex], num_sites: int, local_dim: int = 2)
     return PureState(num_sites, local_dim, amps / nrm)
 
 
+def _site_tensor(state: PureState) -> np.ndarray:
+    """Amplitudes as a rank-N view with axis n = site n."""
+    n, d = state.num_sites, state.local_dim
+    # C-order reshape puts site N-1 on axis 0.
+    return state.amplitudes.reshape([d] * n).transpose(range(n - 1, -1, -1))
+
+
 def _matricize(state: PureState, keep: tuple[int, ...]) -> np.ndarray:
     """Reshape amplitudes into a (d**k, d**(N-k)) matrix.
 
@@ -140,29 +137,22 @@ def _matricize(state: PureState, keep: tuple[int, ...]) -> np.ndarray:
     """
     n, d = state.num_sites, state.local_dim
     rest = tuple(s for s in range(n) if s not in keep)
-    # C-order reshape puts site N-1 on axis 0; transpose to site order first.
-    tensor = state.amplitudes.reshape([d] * n).transpose(range(n - 1, -1, -1))
     # Reversing each group makes its first site the fastest C-order digit.
     perm = tuple(reversed(keep)) + tuple(reversed(rest))
-    return tensor.transpose(perm).reshape(d ** len(keep), d ** len(rest))
+    return _site_tensor(state).transpose(perm).reshape(d ** len(keep), d ** len(rest))
 
 
-def reduced_density(state: PureState, keep: SiteSubset | Iterable[int]) -> DensityOperator:
-    """Partial trace of |psi><psi| onto the kept sites.
+def reduced_density(state: PureState, keep: Iterable[int]) -> DensityOperator:
+    """Partial trace of |psi><psi| onto the kept sites, which _site_list
+    judges (ValueError when it rejects them).
 
     The result is indexed little-endian over the kept sites in increasing
     order, matching the global amplitude convention.
     """
-    sites = _as_sites(keep)
-    if len(sites) == 0:
-        raise ValueError("keep must contain at least one site")
-    if sites[-1] >= state.num_sites:
-        raise ValueError(f"site {sites[-1]} out of range for {state.num_sites} sites")
-    if len(sites) == 1:
-        # Single-site marginals are the hot path; avoid the transpose copy.
-        n, d, site = state.num_sites, state.local_dim, sites[0]
-        t = state.amplitudes.reshape(d ** (n - site - 1), d, d**site)
-        return DensityOperator(np.einsum("aib,ajb->ij", t, t.conj()))
+    sites = _site_list(keep, state.num_sites)
+    if sites is None:
+        raise ValueError(f"keep must list integer sites of 0..{state.num_sites - 1} in "
+                         f"increasing order, at least one; got {keep!r}")
     mat = _matricize(state, sites)
     return DensityOperator(mat @ mat.conj().T)
 

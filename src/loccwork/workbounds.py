@@ -20,11 +20,11 @@ import numpy as np
 from .qstate import (
     DensityOperator,
     PureState,
-    SiteSubset,
     StateSpecError,
-    _as_sites,
     _fix_phases,
     _matricize,
+    _site_list,
+    _site_tensor,
     site_entropies,
     site_marginals,
     von_neumann_entropy,
@@ -45,6 +45,8 @@ CERTIFIED_GRID = 24
 DEFAULT_GRID = CERTIFIED_GRID
 # Largest bruteforce grid; the N = 4 scan grows as points^4 (2.8 s at 128, 2 vCPU).
 MAX_GRID = 128
+# The searches eg_estimate runs by name; check_eg also judges "schmidt".
+EG_METHODS = ("alternating", "bruteforce")
 
 
 def check_eg(method, num_sites: int, local_dim: int, *, restarts: int = DEFAULT_RESTARTS,
@@ -52,8 +54,8 @@ def check_eg(method, num_sites: int, local_dim: int, *, restarts: int = DEFAULT_
     """Raises StateSpecError where an eg search would reject its parameters
     on a state of this shape; allocates nothing.  alternating: restarts >= 1,
     seed >= 0 or None; bruteforce: at most 4 qubit sites, 2 <= grid <=
-    MAX_GRID; schmidt: a nonempty, strictly increasing, proper subset of
-    0..N-1 as the cut.  Other methods pass."""
+    MAX_GRID; schmidt: a cut that qstate._site_list accepts and that leaves
+    out at least one site.  Other methods pass."""
     if method == "alternating":
         if restarts < 1:
             raise StateSpecError("eg restarts must be >= 1")
@@ -69,11 +71,10 @@ def check_eg(method, num_sites: int, local_dim: int, *, restarts: int = DEFAULT_
         if grid > MAX_GRID:
             raise StateSpecError(f"bruteforce exponent search needs grid <= {MAX_GRID}")
     elif method == "schmidt":
-        sites = tuple(cut.sites if isinstance(cut, SiteSubset) else cut)
-        if (not sites or any(b <= a for a, b in zip(sites, sites[1:])) or sites[0] < 0
-                or sites[-1] >= num_sites or len(sites) >= num_sites):
+        sites = _site_list(cut, num_sites)
+        if sites is None or len(sites) >= num_sites:
             raise StateSpecError(f"cut must list sites of 0..{num_sites - 1} in increasing order, "
-                                 f"at least one and not all of them; got {list(sites)}")
+                                 f"at least one and not all of them; got {list(cut)}")
 
 
 @dataclass(frozen=True)
@@ -134,12 +135,6 @@ class EgEstimate:
             raise ValueError(f"negative exponent {self.value}")
         if self.certification not in (CERT_BRUTEFORCE, CERT_SCHMIDT, CERT_HEURISTIC):
             raise ValueError(f"unknown certification {self.certification!r}")
-
-
-def _site_tensor(state: PureState) -> np.ndarray:
-    """Amplitudes as a rank-N tensor with axis n = site n."""
-    n, d = state.num_sites, state.local_dim
-    return state.amplitudes.reshape([d] * n).transpose(range(n - 1, -1, -1))
 
 
 def product_overlap(product: ProductState, state: PureState) -> complex:
@@ -306,7 +301,7 @@ def eg_alternating(
     )
 
 
-def eg_schmidt(state: PureState, cut: SiteSubset | tuple = (0,)) -> float:
+def eg_schmidt(state: PureState, cut: tuple = (0,)) -> float:
     """-ln(sigma_max^2) across the given bipartition.
 
     Exact product-overlap exponent for two-site states; for more sites it is
@@ -314,7 +309,7 @@ def eg_schmidt(state: PureState, cut: SiteSubset | tuple = (0,)) -> float:
     product across the same cut).  check_eg judges the cut.
     """
     check_eg("schmidt", state.num_sites, state.local_dim, cut=cut)
-    mat = _matricize(state, _as_sites(cut))
+    mat = _matricize(state, _site_list(cut, state.num_sites))
     smax = float(np.linalg.svd(mat, compute_uv=False)[0])
     return float(-np.log(smax**2))
 
@@ -471,6 +466,17 @@ def eg_bruteforce(state: PureState, grid_points_per_axis: int = DEFAULT_GRID) ->
         restarts_used=restarts_used,
         unconverged=unconverged,
     )
+
+
+def eg_estimate(
+    state: PureState, method: str, *, restarts: int, grid: int, rng_seed: int
+) -> EgEstimate:
+    """Exponent estimate by the "alternating" or the "bruteforce" search."""
+    if method == "alternating":
+        return eg_alternating(state, restarts=restarts, rng_seed=rng_seed)
+    if method == "bruteforce":
+        return eg_bruteforce(state, grid_points_per_axis=grid)
+    raise ValueError(f"unknown eg method {method!r}")
 
 
 def w_locc_upper(state: PureState, eg: EgEstimate) -> tuple[float, str]:

@@ -65,6 +65,16 @@ def test_computational_on_plus_state():
         assert abs(abs(leaf.state.amplitudes[idx]) - 1.0) < 1e-12
 
 
+def test_leaf_slices_match_item_reads():
+    leaves = execute(subset_protocol(3), plus_state(3)).leaves
+    for part, indices in [(leaves[2:5], range(2, 5)), (leaves[::-1], range(7, -1, -1))]:
+        assert isinstance(part, list) and len(part) == len(indices)
+        for node, i in zip(part, indices):
+            assert node.history == leaves[i].history
+            assert node.probability == leaves[i].probability
+            np.testing.assert_array_equal(node.state.amplitudes, leaves[i].state.amplitudes)
+
+
 def test_leaf_probabilities_sum_to_one():
     rng = np.random.default_rng(0)
     for trial in range(15):

@@ -10,7 +10,6 @@ import pytest
 from loccwork.qstate import (
     DensityOperator,
     PureState,
-    SiteSubset,
     apply_kraus,
     apply_kraus_vector,
     apply_two_site_vector,
@@ -20,6 +19,7 @@ from loccwork.qstate import (
     shannon_entropy,
     von_neumann_entropy,
 )
+from loccwork.workbounds import eg_schmidt
 
 LN2 = np.log(2.0)
 
@@ -62,14 +62,18 @@ def ghz(n: int) -> PureState:
     return PureState(n, 2, v)
 
 
-def test_site_subset_validation():
-    assert SiteSubset((0, 2, 5)).sites == (0, 2, 5)
-    with pytest.raises(ValueError):
-        SiteSubset((2, 1))
-    with pytest.raises(ValueError):
-        SiteSubset((1, 1))
-    with pytest.raises(ValueError):
-        SiteSubset((-1, 0))
+def test_site_list_validation():
+    # One rule for reduced_density's keep and eg_schmidt's cut: integers
+    # (numpy ints too) of 0..N-1, strictly increasing; 0.7 is not site 0.
+    s = random_pure(3, 2, seed=11)
+    for sites in [(2, 1), (1, 1), (-1, 0), (0.7,)]:
+        with pytest.raises(ValueError):
+            reduced_density(s, sites)
+        with pytest.raises(ValueError):
+            eg_schmidt(s, sites)
+    np.testing.assert_array_equal(reduced_density(s, np.array([0, 2])).matrix,
+                                  reduced_density(s, [0, 2]).matrix)
+    assert eg_schmidt(s, (np.int64(1),)) == eg_schmidt(s, (1,))
 
 
 def test_make_pure_basic():

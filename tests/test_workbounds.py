@@ -250,6 +250,7 @@ def test_eg_bruteforce_rejects_unsupported_inputs():
     pytest.param(lambda s: eg_schmidt(s, (0, 1, 2)), "cut must list sites of 0..2",
                  id="every-site"),
     pytest.param(lambda s: eg_schmidt(s, (1, 0)), "cut must list sites of 0..2", id="unordered"),
+    pytest.param(lambda s: eg_schmidt(s, (1, 1)), "cut must list sites of 0..2", id="repeated"),
     pytest.param(lambda s: eg_schmidt(s, (5,)), "cut must list sites of 0..2", id="out-of-range"),
     pytest.param(lambda s: eg_bruteforce(s, grid_points_per_axis=129), "grid <= 128",
                  id="grid-cap"),
