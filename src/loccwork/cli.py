@@ -185,7 +185,7 @@ def _cmd_graph_gen(args) -> int:
     ind = graphs.greedy_independent_set(g)
     print(f"vertices {g.num_vertices}")
     print(f"edges {len(g.edges)}")
-    print(f"max_degree {max(g.degrees()) if g.num_vertices else 0}")
+    print(f"max_degree {max(g.degrees())}")
     print(f"greedy_independent_set {len(ind.vertices)}")
     print(f"caro_wei {graphs.caro_wei_bound(g)!r}")
     print(f"wrote {args.output}")

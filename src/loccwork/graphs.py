@@ -6,41 +6,55 @@ Lattice generators index a rows x cols grid row-major: vertex = r * cols + c.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    return [u for u in range(mask.bit_length()) if mask >> u & 1]
+
+
 @dataclass(frozen=True)
 class Graph:
+    """Graph on vertices 0..num_vertices-1, the one judge of an edge: both
+    ends in range and distinct; (i, j) and (j, i) are the same edge.
+
+    masks is derived and read-only: bit u of masks[v] is set when u and v
+    are adjacent.  Every adjacency query reads it.
+    """
+
     num_vertices: int
     edges: frozenset = field(default_factory=frozenset)
+    masks: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.num_vertices < 1:
+        n = self.num_vertices
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        norm = set()
+        norm, masks = set(), [0] * n
         for e in self.edges:
             i, j = int(e[0]), int(e[1])
             if i == j:
                 raise ValueError(f"self-loop at vertex {i}")
-            if not (0 <= i < self.num_vertices and 0 <= j < self.num_vertices):
-                raise ValueError(f"edge ({i}, {j}) out of range")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i}, {j}) out of range for {n} vertices")
             norm.add((min(i, j), max(i, j)))
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
         object.__setattr__(self, "edges", frozenset(norm))
+        object.__setattr__(self, "masks", tuple(masks))
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        out = [j if i == v else i for i, j in self.edges if v in (i, j)]
-        return tuple(sorted(out))
+        if not 0 <= v < self.num_vertices:
+            raise ValueError(f"vertex {v} out of range")
+        return tuple(_bits(self.masks[v]))
 
     def degrees(self) -> list[int]:
-        degs = [0] * self.num_vertices
-        for i, j in self.edges:
-            degs[i] += 1
-            degs[j] += 1
-        return degs
+        return [m.bit_count() for m in self.masks]
 
     def has_edge(self, i: int, j: int) -> bool:
         return (min(i, j), max(i, j)) in self.edges
@@ -59,9 +73,10 @@ class IndependentSet:
         for v in verts:
             if not 0 <= v < self.graph.num_vertices:
                 raise ValueError(f"vertex {v} out of range")
-        for i, j in self.graph.edges:
-            if i in verts and j in verts:
-                raise ValueError(f"set is not independent: contains edge ({i}, {j})")
+        mask = sum(1 << v for v in verts)
+        inside = [(v, u) for v in sorted(verts) for u in _bits(self.graph.masks[v] & mask)]
+        if inside:
+            raise ValueError(f"set is not independent: contains edge {inside[0]}")
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -81,13 +96,9 @@ def gen_random_graph(num_vertices: int, seed: int) -> Graph:
     Pairs are visited in order (0,1), (0,2), ..., (n-2,n-1), one uniform
     draw each, so the result is reproducible from the seed alone.
     """
-    rng = np.random.default_rng(seed)
-    edges = []
-    for i in range(num_vertices):
-        for j in range(i + 1, num_vertices):
-            if rng.random() < 0.5:
-                edges.append((i, j))
-    return Graph(num_vertices, frozenset(edges))
+    draws = np.random.default_rng(seed).random(num_vertices * (num_vertices - 1) // 2)
+    pairs = itertools.combinations(range(num_vertices), 2)
+    return Graph(num_vertices, frozenset(e for e, x in zip(pairs, draws) if x < 0.5))
 
 
 # The dims each lattice kind takes, by name.
@@ -96,6 +107,15 @@ LATTICE_DIMS = {
     "square_torus": ("rows", "cols"),
     "triangular_torus": ("rows", "cols"),
     "hexagonal": ("rows", "cols"),
+}
+
+# Bond offsets (dr, dc) from each cell of the 2-D lattices.  The hexagonal
+# (brick-wall) lattice keeps its vertical bond only where r + c is even: one
+# per brick.
+_BONDS = {
+    "square_torus": ((0, 1), (1, 0)),
+    "triangular_torus": ((0, 1), (1, 0), (1, 1)),
+    "hexagonal": ((0, 1), (1, 0)),
 }
 
 
@@ -120,33 +140,19 @@ def gen_lattice(kind: str, dims: tuple) -> Graph:
         return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
 
     rows, cols = dims
-    vid = lambda r, c: (r % rows) * cols + (c % cols)
-
-    if kind == "square_torus" or kind == "triangular_torus":
-        if rows < 3 or cols < 3:
-            raise ValueError(f"{kind} needs rows, cols >= 3 to avoid duplicate edges")
-        edges = set()
-        for r in range(rows):
-            for c in range(cols):
-                edges.add((vid(r, c), vid(r, c + 1)))
-                edges.add((vid(r, c), vid(r + 1, c)))
-                if kind == "triangular_torus":
-                    edges.add((vid(r, c), vid(r + 1, c + 1)))
-        return Graph(rows * cols, frozenset(tuple(sorted(e)) for e in edges))
-
     if kind == "hexagonal":
         if rows % 2 or cols % 2:
             raise ValueError("hexagonal lattice needs even rows and cols")
         if rows < 2 or cols < 4:
             raise ValueError("hexagonal lattice needs rows >= 2 and cols >= 4")
-        edges = set()
-        for r in range(rows):
-            for c in range(cols):
-                edges.add(tuple(sorted((vid(r, c), vid(r, c + 1)))))
-                # One vertical bond per brick: present only on even parity.
-                if (r + c) % 2 == 0:
-                    edges.add(tuple(sorted((vid(r, c), vid(r + 1, c)))))
-        return Graph(rows * cols, frozenset(edges))
+    elif rows < 3 or cols < 3:
+        raise ValueError(f"{kind} needs rows, cols >= 3 to avoid duplicate edges")
+    edges = frozenset(
+        (r * cols + c, (r + dr) % rows * cols + (c + dc) % cols)
+        for r in range(rows) for c in range(cols) for dr, dc in _BONDS[kind]
+        if not (kind == "hexagonal" and dr and (r + c) % 2)
+    )
+    return Graph(rows * cols, edges)
 
 
 def caro_wei_bound(g: Graph) -> float:
@@ -161,17 +167,12 @@ def greedy_independent_set(g: Graph) -> IndependentSet:
     The size of the result is guaranteed to reach sum_v 1/(deg(v)+1); this is
     checked before returning.
     """
-    adj = [set() for _ in range(g.num_vertices)]
-    for i, j in g.edges:
-        adj[i].add(j)
-        adj[j].add(i)
-    alive = set(range(g.num_vertices))
-    chosen = []
+    alive, chosen = (1 << g.num_vertices) - 1, []
     while alive:
-        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
+        # min keeps the first of equal keys: the lowest index on ties.
+        v = min(_bits(alive), key=lambda u: (g.masks[u] & alive).bit_count())
         chosen.append(v)
-        removed = (adj[v] & alive) | {v}
-        alive -= removed
+        alive &= ~(g.masks[v] | 1 << v)
     result = IndependentSet(g, frozenset(chosen))
     bound = caro_wei_bound(g)
     if len(result) < bound - 1e-9:
@@ -190,10 +191,7 @@ def max_independent_set_bruteforce(g: Graph) -> IndependentSet:
     n = g.num_vertices
     if n > 20:
         raise ValueError("bruteforce search limited to 20 vertices")
-    nbr = [0] * n
-    for i, j in g.edges:
-        nbr[i] |= 1 << j
-        nbr[j] |= 1 << i
+    nbr = g.masks
     closed = [nbr[v] | (1 << v) for v in range(n)]
     memo: dict = {}
 
@@ -205,17 +203,9 @@ def max_independent_set_bruteforce(g: Graph) -> IndependentSet:
             return hit
         # Branch on the closed neighborhood of a minimum-degree vertex: any
         # maximal independent set intersects it.
-        v, v_deg = -1, n + 1
-        m = rem
-        while m:
-            u = (m & -m).bit_length() - 1
-            m &= m - 1
-            deg = bin(nbr[u] & rem).count("1")
-            if deg < v_deg:
-                v, v_deg = u, deg
+        v = min(_bits(rem), key=lambda u: (nbr[u] & rem).bit_count())
         best_size, best_mask = 0, 0
-        candidates = [v] + [u for u in range(n) if (nbr[v] >> u) & 1 and (rem >> u) & 1]
-        for u in candidates:
+        for u in [v] + _bits(nbr[v] & rem):
             size, mask = solve(rem & ~closed[u])
             if size + 1 > best_size:
                 best_size, best_mask = size + 1, mask | (1 << u)
@@ -223,8 +213,7 @@ def max_independent_set_bruteforce(g: Graph) -> IndependentSet:
         return best_size, best_mask
 
     _, mask = solve((1 << n) - 1)
-    verts = frozenset(v for v in range(n) if (mask >> v) & 1)
-    return IndependentSet(g, verts)
+    return IndependentSet(g, frozenset(_bits(mask)))
 
 
 def read_lines(path: str | Path) -> list[tuple[int, str]]:
@@ -245,7 +234,9 @@ def save_graph(g: Graph, path: str | Path) -> None:
 
 def load_graph(path: str | Path) -> Graph:
     """Read the edge-list format written by save_graph; # starts a comment
-    (see read_lines) and malformed lines raise."""
+    (see read_lines).  The file's own rules are line shape, integers and no
+    repeated pair; Graph judges the edges, and its ValueError is raised again
+    with the path in front."""
     lines = [text for _, text in read_lines(path)]
     if not lines:
         raise ValueError(f"{path}: empty graph file")
@@ -253,8 +244,7 @@ def load_graph(path: str | Path) -> Graph:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"{path}: first line must be the vertex count, got {lines[0]!r}")
-    edges = []
-    seen = set()
+    edges = set()
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
@@ -263,13 +253,11 @@ def load_graph(path: str | Path) -> Graph:
             i, j = int(parts[0]), int(parts[1])
         except ValueError:
             raise ValueError(f"{path}: non-integer edge line {ln!r}")
-        if i == j:
-            raise ValueError(f"{path}: self-loop {ln!r}")
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"{path}: edge {ln!r} out of range for {n} vertices")
         key = (min(i, j), max(i, j))
-        if key in seen:
+        if key in edges:
             raise ValueError(f"{path}: duplicate edge {ln!r}")
-        seen.add(key)
-        edges.append(key)
-    return Graph(n, frozenset(edges))
+        edges.add(key)
+    try:
+        return Graph(n, frozenset(edges))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

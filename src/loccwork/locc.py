@@ -573,23 +573,20 @@ def refine_rank_one(protocol: Protocol, state: PureState) -> Protocol:
     state, so the refined protocol is specific to it; executing it on other
     states raises on unseen histories.
 
-    The eigenbases come from the leaf blocks: open sites from the marginals
-    of the residuals, sliced sites from their distinct columns (few, for a
-    rank-one site).  Executing the refined protocol repeats the same
+    The eigenbases come from the marginals of the leaf blocks' residuals, one
+    per open site.  A sliced site is a known pure factor, whose eigenbasis
+    measurement has one certain outcome: it takes the null measurement, and
+    its history reads phi.  Executing the refined protocol repeats the same
     arithmetic, so it reaches exactly the leaves found here.
     """
     tree = execute(protocol, state)
     n, d = protocol.num_sites, protocol.local_dim
     by_history: dict = {}
     for block in tree.blocks:
-        per_site = [None] * n
         marginals = site_marginals(block.residual, len(block.open_sites), d)
+        per_site = [[SiteMeasurement.null(d)] * len(block)] * n
         for j, s in enumerate(block.open_sites):
             per_site[s] = _eigenbases(marginals[:, j])
-        for s in set(range(n)) - set(block.open_sites):
-            cols, inverse = np.unique(block.columns(s), axis=0, return_inverse=True)
-            bases = _eigenbases(np.einsum("bi,bj->bij", cols, cols.conj()))
-            per_site[s] = [bases[k] for k in inverse.ravel().tolist()]
         for i, history in enumerate(block.histories()):
             by_history[history] = [bases[i] for bases in per_site]
 

@@ -71,10 +71,21 @@ def check_eg(method, num_sites: int, local_dim: int, *, restarts: int = DEFAULT_
         if grid > MAX_GRID:
             raise StateSpecError(f"bruteforce exponent search needs grid <= {MAX_GRID}")
     elif method == "schmidt":
-        sites = _site_list(cut, num_sites)
-        if sites is None or len(sites) >= num_sites:
-            raise StateSpecError(f"cut must list sites of 0..{num_sites - 1} in increasing order, "
-                                 f"at least one and not all of them; got {list(cut)}")
+        _cut_sites(cut, num_sites)
+
+
+def _cut_sites(cut, num_sites: int) -> tuple[int, ...]:
+    """The sites of a schmidt cut, read once; StateSpecError unless
+    qstate._site_list accepts them and at least one site is left out."""
+    try:
+        cut = list(cut)
+    except TypeError:
+        pass
+    sites = _site_list(cut, num_sites)
+    if sites is None or len(sites) >= num_sites:
+        raise StateSpecError(f"cut must list sites of 0..{num_sites - 1} in increasing order, "
+                             f"at least one and not all of them; got {cut}")
+    return sites
 
 
 @dataclass(frozen=True)
@@ -308,8 +319,7 @@ def eg_schmidt(state: PureState, cut: tuple = (0,)) -> float:
     a lower bound on the exponent (the best bipartite product beats any full
     product across the same cut).  check_eg judges the cut.
     """
-    check_eg("schmidt", state.num_sites, state.local_dim, cut=cut)
-    mat = _matricize(state, _site_list(cut, state.num_sites))
+    mat = _matricize(state, _cut_sites(cut, state.num_sites))
     smax = float(np.linalg.svd(mat, compute_uv=False)[0])
     return float(-np.log(smax**2))
 

@@ -464,8 +464,8 @@ def test_leaf_count_builds_no_states(monkeypatch):
     assert protocol_work(tree).leaf_count == 256
     with pytest.raises(BranchBudgetError):
         tree.leaves[0]
-    # Refining reads eigenbases off the outcome indices and builds no leaf
-    # states; the refined round measures sliced sites, so it stays compact.
+    # Refining builds no leaf states; every site is sliced, so the refined
+    # round measures none of them and the tree stays compact.
     refined = refine_rank_one(subset_protocol(8), state)
     assert len(execute(refined, state).leaves) == 256
     monkeypatch.undo()
@@ -484,6 +484,20 @@ def test_refine_covers_outcomes_the_collapse_found_impossible():
     reached = {h[:2] for h in tree.histories()}
     assert len(reached) == len(collapsed.leaves)
     assert abs(protocol_work(tree).w_lambda - protocol_work(collapsed).w_lambda) <= 1e-9
+
+
+def test_refining_a_rank_one_round_is_an_exact_no_op():
+    """Every site of a rank-one round is sliced, a known pure factor; the
+    refined round gives it the null measurement, so no leaf is added, not
+    even one of probability about 1e-33, and the figure does not move."""
+    rng = np.random.default_rng(19)
+    state = random_state(4, 5)
+    for m in (eigenbasis(rng), trine(), ket_bra(rng)):
+        base = static_protocol([[m] * 4])
+        tree, refined = execute(base, state), execute(refine_rank_one(base, state), state)
+        assert np.array_equal(refined.probabilities, tree.probabilities)
+        assert protocol_work(refined).w_lambda == protocol_work(tree).w_lambda
+        assert all(h[1] == ("phi",) * 4 for h in refined.histories())
 
 
 def test_dense_split_over_budget_raises(monkeypatch):

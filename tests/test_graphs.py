@@ -4,6 +4,8 @@ The exhaustive independent-set oracle used here enumerates all 2^n subsets
 directly, independent of the branch-and-bound implementation.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,47 @@ def exhaustive_max_independent_size(g: Graph) -> int:
     return best
 
 
+def reference_lattice_edges(kind: str, dims: tuple) -> frozenset | None:
+    """Edge set of a lattice from explicit per-kind loops, or None where the
+    shape is invalid."""
+    if kind == "cycle":
+        (n,) = dims
+        return frozenset(tuple(sorted((i, (i + 1) % n))) for i in range(n)) if n >= 3 else None
+    rows, cols = dims
+    if kind == "hexagonal" and (rows % 2 or cols % 2 or rows < 2 or cols < 4):
+        return None
+    if kind != "hexagonal" and (rows < 3 or cols < 3):
+        return None
+    vid = lambda r, c: (r % rows) * cols + (c % cols)
+    edges = set()
+    for r in range(rows):
+        for c in range(cols):
+            edges.add(tuple(sorted((vid(r, c), vid(r, c + 1)))))
+            if kind != "hexagonal" or (r + c) % 2 == 0:
+                edges.add(tuple(sorted((vid(r, c), vid(r + 1, c)))))
+            if kind == "triangular_torus":
+                edges.add(tuple(sorted((vid(r, c), vid(r + 1, c + 1)))))
+    return frozenset(edges)
+
+
+def reference_greedy(g: Graph) -> frozenset:
+    """Least residual degree first, lowest index on ties, over Python sets."""
+    adj = {v: set() for v in range(g.num_vertices)}
+    for i, j in g.edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    alive, chosen = set(adj), set()
+    while alive:
+        v = min(alive, key=lambda u: (len(adj[u] & alive), u))
+        chosen.add(v)
+        alive -= adj[v] | {v}
+    return frozenset(chosen)
+
+
+LATTICES = [gen_lattice("cycle", (7,)), gen_lattice("square_torus", (3, 4)),
+            gen_lattice("triangular_torus", (3, 3)), gen_lattice("hexagonal", (2, 6))]
+
+
 def test_graph_normalizes_and_validates():
     g = Graph(3, frozenset({(2, 0), (1, 2)}))
     assert g.edges == frozenset({(0, 2), (1, 2)})
@@ -40,6 +83,25 @@ def test_graph_normalizes_and_validates():
         Graph(3, frozenset({(0, 0)}))
     with pytest.raises(ValueError):
         Graph(3, frozenset({(0, 3)}))
+    # masks[-1] would be the last vertex's row.
+    for v in (-1, 3):
+        with pytest.raises(ValueError):
+            g.neighbors(v)
+
+
+def test_masks_are_the_adjacency():
+    graphs = [gen_random_graph(n, seed=300 + 13 * n + s) for n in range(1, 13) for s in range(8)]
+    for g in graphs + LATTICES + [Graph(3, frozenset({(2, 0), (0, 2)}))]:
+        n = g.num_vertices
+        assert len(g.masks) == n
+        for v in range(n):
+            assert not g.masks[v] >> v & 1
+            assert g.masks[v] < 1 << n
+            for u in range(n):
+                assert (g.masks[v] >> u & 1) == (g.masks[u] >> v & 1) == g.has_edge(u, v)
+        assert [m.bit_count() for m in g.masks] == g.degrees()
+        assert all(g.neighbors(v) == tuple(u for u in range(n) if g.has_edge(u, v))
+                   for v in range(n))
 
 
 def test_independent_set_validation():
@@ -47,6 +109,9 @@ def test_independent_set_validation():
     IndependentSet(g, frozenset({0, 2}))
     with pytest.raises(ValueError):
         IndependentSet(g, frozenset({0, 1}))
+    # The lowest edge inside the set is named.
+    with pytest.raises(ValueError, match=re.escape("contains edge (1, 2)")):
+        IndependentSet(g, frozenset({3, 2, 1}))
     with pytest.raises(ValueError):
         IndependentSet(g, frozenset({0, 9}))
 
@@ -72,6 +137,21 @@ def test_lattice_degrees_and_sizes():
     hexa = gen_lattice("hexagonal", (2, 4))
     assert hexa.num_vertices == 8 and set(hexa.degrees()) == {3}
     assert len(hexa.edges) == 12
+
+
+@pytest.mark.parametrize("kind", ["cycle", "square_torus", "triangular_torus", "hexagonal"])
+def test_lattice_edges_match_reference(kind):
+    shapes = [(n,) for n in range(1, 15)] if kind == "cycle" else [
+        (rows, cols) for rows in range(1, 9) for cols in range(1, 9)]
+    for dims in shapes:
+        want = reference_lattice_edges(kind, dims)
+        if want is None:
+            with pytest.raises(ValueError):
+                gen_lattice(kind, dims)
+        else:
+            g = gen_lattice(kind, dims)
+            assert g.num_vertices == (dims[0] if kind == "cycle" else dims[0] * dims[1])
+            assert g.edges == want, (kind, dims)
 
 
 def test_lattice_rejects_bad_dims():
@@ -130,16 +210,15 @@ def test_bruteforce_rejects_large_graphs():
 
 
 def test_bruteforce_matches_exhaustive_oracle():
-    for seed in range(25):
-        g = gen_random_graph(9, seed=seed)
+    for g in [gen_random_graph(9, seed=seed) for seed in range(25)] + LATTICES:
         got = max_independent_set_bruteforce(g)
         assert len(got) == exhaustive_max_independent_size(g)
 
 
 def test_greedy_between_degree_bound_and_maximum():
-    for seed in range(40):
-        g = gen_random_graph(10, seed=1000 + seed)
+    for g in [gen_random_graph(10, seed=1000 + seed) for seed in range(40)] + LATTICES:
         greedy = greedy_independent_set(g)
+        assert greedy.vertices == reference_greedy(g)
         exact = max_independent_set_bruteforce(g)
         assert caro_wei_bound(g) - 1e-9 <= len(greedy) <= len(exact)
 
@@ -167,10 +246,11 @@ def test_graph_file_round_trip(tmp_path):
         "3\n1 1\n",  # self-loop
         "3\n0 3\n",  # out of range
         "3\n0 1\n1 0\n",  # duplicate
+        "0\n",  # no vertices
     ],
 )
 def test_graph_reader_rejects_malformed(tmp_path, body):
     p = tmp_path / "bad.edges"
     p.write_text(body)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(str(p))):
         load_graph(p)

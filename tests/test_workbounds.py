@@ -179,6 +179,11 @@ def test_eg_schmidt_rejects_bad_cut():
         eg_schmidt(s, (0, 1, 2))
     with pytest.raises(ValueError):
         eg_schmidt(s, (5,))
+    with pytest.raises(StateSpecError):
+        eg_schmidt(s, 1)
+    # The cut is read once: a generator gives the value of its tuple.
+    assert eg_schmidt(s, (x for x in (0,))) == eg_schmidt(s, (0,))
+    assert abs(eg_schmidt(s, (x for x in (0,))) - LN2) < 1e-12
 
 
 def test_eg_schmidt_lower_bounds_alternating():
@@ -252,6 +257,7 @@ def test_eg_bruteforce_rejects_unsupported_inputs():
     pytest.param(lambda s: eg_schmidt(s, (1, 0)), "cut must list sites of 0..2", id="unordered"),
     pytest.param(lambda s: eg_schmidt(s, (1, 1)), "cut must list sites of 0..2", id="repeated"),
     pytest.param(lambda s: eg_schmidt(s, (5,)), "cut must list sites of 0..2", id="out-of-range"),
+    pytest.param(lambda s: eg_schmidt(s, 1), "cut must list sites of 0..2", id="non-iterable"),
     pytest.param(lambda s: eg_bruteforce(s, grid_points_per_axis=129), "grid <= 128",
                  id="grid-cap"),
     pytest.param(lambda s: eg_alternating(s, rng_seed=-1), "seed >= 0", id="negative-seed"),
