@@ -12,7 +12,9 @@ outcome at site i.
 from __future__ import annotations
 
 import functools
+import math
 import operator
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -24,6 +26,14 @@ EIG_CLAMP = 1e-12
 # Byte cap on one site_marginals chunk (whole rows, at least one): small
 # enough that every site's passes over it read from L2.
 _MARGINAL_CHUNK_BYTES = 2**20
+# _apply_block's operator-first layout runs where b = d**site <= min(A,
+# _OPERATOR_FIRST_B): there the left-multiply layout's A products per vector
+# are so small that each costs a BLAS call and little else.  Its piece and
+# product copies share one scratch buffer of _BLOCK_SCRATCH_BYTES per thread
+# (_SCRATCH), kept between calls; a 256 KiB chunk stays in L2.
+_OPERATOR_FIRST_B = 8
+_BLOCK_SCRATCH_BYTES = 2**18
+_SCRATCH = threading.local()
 
 
 class StateSpecError(ValueError):
@@ -325,19 +335,87 @@ def _fix_phases(factors: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _apply_block(amps: np.ndarray, n: int, d: int, site: int, width: int, op: np.ndarray):
     """One matmul applies a (..., e, m) map to the m = d**width sites from `site`
-    on: (..., d**N) vectors give (..., e * d**(N - width)).  At site 0, the fastest
-    axis, the (..., A, m) view times the map's transpose, one GEMM per vector, not
-    A matrix-vector products; a single (e, m) map folds every leading axis into
-    one GEMM.  Elsewhere the map left-multiplies (..., A, m, d**site)."""
-    shape = amps.shape[:-1] + (d ** (n - site - width), d**width)
+    on: (..., d**N) vectors give (..., e * d**(N - width)).  Three layouts,
+    picked from the site and the block sizes alone, never from the batch size,
+    so a batched call equals its per-vector calls bit for bit.  With A =
+    d**(N - site - width) and b = d**site:
+
+    - site 0, the fastest axis: the (..., A, m) view times the map's
+      transpose, one GEMM per vector, not A matrix-vector products; a single
+      (e, m) map folds every leading axis into one GEMM.
+    - site > 0, b <= min(A, _OPERATOR_FIRST_B): operator first, one (e, m) @
+      (m, A * b) GEMM per vector on a copy with the m axis moved first, then
+      moved back (_apply_operator_first).  Here each of the A products of the
+      left-multiply layout is a BLAS call of at most 8 columns.
+    - otherwise the map left-multiplies the (..., A, m, b) view: A GEMMs of b
+      columns per vector, which at larger b beat the two copies.
+    """
+    a, m, b = d ** (n - site - width), d**width, d**site
+    shape = amps.shape[:-1] + (a, m)
     if site == 0 and op.ndim == 2:
-        out = amps.reshape(-1, d**width) @ op.T
+        out = amps.reshape(-1, m) @ op.T
         return out.reshape(amps.shape[:-1] + (-1,))
     if site == 0:
         out = amps.reshape(shape) @ np.swapaxes(op, -1, -2)
         return out.reshape(out.shape[:-2] + (-1,))
-    out = op[..., np.newaxis, :, :] @ amps.reshape(shape + (d**site,))
+    if b <= min(a, _OPERATOR_FIRST_B):
+        out = _apply_operator_first(amps.reshape(shape + (b,)), op)
+    else:
+        out = op[..., np.newaxis, :, :] @ amps.reshape(shape + (b,))
     return out.reshape(out.shape[:-3] + (-1,))
+
+
+def _block_scratch(nbytes: int) -> np.ndarray:
+    """A byte buffer for _apply_operator_first's piece and product: this
+    thread's one buffer of _BLOCK_SCRATCH_BYTES, kept between calls (threads
+    do not share it), or a new one when a chunk needs more.  Allocating the
+    scratch on every call instead made glibc trim and regrow the heap: about
+    2 700 more page faults per pass of perfbench's protocol-trees workload."""
+    buffer = getattr(_SCRATCH, "buffer", None)
+    if buffer is None or buffer.nbytes < nbytes:
+        buffer = np.empty(max(nbytes, _BLOCK_SCRATCH_BYTES), dtype=np.uint8)
+        if nbytes <= _BLOCK_SCRATCH_BYTES:
+            _SCRATCH.buffer = buffer
+    return buffer
+
+
+def _apply_operator_first(x: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """op (..., e, m) on x (..., A, m, b), giving (..., A, e, b): per vector, one
+    (e, m) @ (m, span * b) GEMM on each piece of `span` values of A, copied
+    with m first into scratch, and the product moved back into the output.
+    span depends on the block sizes only, so every call makes the same GEMMs
+    per vector.  Rows of the first batch axis go together while a chunk's
+    piece and product fit in _BLOCK_SCRATCH_BYTES; a chunk is at least one
+    row, with every map of its later batch axes.
+    """
+    a, m, b = x.shape[-3:]
+    e = op.shape[-2]
+    batch = np.broadcast_shapes(x.shape[:-3], op.shape[:-2])
+    if not batch:
+        return _apply_operator_first(x[np.newaxis], op)[0]
+    dtype = np.result_type(x, op)
+    per_a = (m + e) * b * dtype.itemsize  # piece + product, one vector
+    span = max(1, min(a, _BLOCK_SCRATCH_BYTES // per_a))
+    inner = math.prod(batch[1:])
+    rows = max(1, _BLOCK_SCRATCH_BYTES // (inner * span * per_a))
+    scratch = _block_scratch(rows * inner * span * per_a)
+    out = np.empty(batch + (a, e, b), dtype=dtype)
+    x_rows = x.ndim - 3 == len(batch) and x.shape[0] > 1
+    op_rows = op.ndim - 2 == len(batch) and op.shape[0] > 1
+    for r in range(0, batch[0], rows):
+        xr = x[r : r + rows] if x_rows else x
+        opr = op[r : r + rows] if op_rows else op
+        for lo in range(0, a, span):
+            moved = np.swapaxes(xr[..., lo : lo + span, :, :], -3, -2)
+            piece = scratch[: moved.size * dtype.itemsize].view(dtype).reshape(moved.shape)
+            np.copyto(piece, moved)
+            piece = piece.reshape(moved.shape[:-2] + (-1,))
+            y_shape = (min(rows, batch[0] - r),) + batch[1:] + (e, piece.shape[-1])
+            y = scratch[piece.nbytes : piece.nbytes + math.prod(y_shape) * dtype.itemsize]
+            y = np.matmul(opr, piece, out=y.view(dtype).reshape(y_shape))
+            out[r : r + rows, ..., lo : lo + span, :, :] = np.swapaxes(
+                y.reshape(y.shape[:-1] + (-1, b)), -3, -2)
+    return out
 
 
 def apply_kraus_vector(

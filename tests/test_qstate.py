@@ -4,9 +4,13 @@ The partial-trace oracle below works by explicit index arithmetic, with no
 reshapes or transposes, so it cannot share a bug with the implementation.
 """
 
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from loccwork import qstate
 from loccwork.qstate import (
     DensityOperator,
     PureState,
@@ -392,9 +396,10 @@ def test_local_kernels_match_kron_at_every_block(d, n, vec_batch, op_batch, layo
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("site", [0, 1])
 def test_rank_one_row_on_zero_block_is_exact_zero(d, site):
-    # Site 0 takes the right-multiply layout, site 1 of 3 the left-multiply
-    # one.  Every block (the d amplitudes that differ only at the site) with
-    # outer index 1 is zero, so the row's output there is exactly 0.0.
+    # Site 0 takes the right-multiply layout, site 1 of 3 (b == A == d) the
+    # operator-first one.  Every block (the d amplitudes that differ only at
+    # the site) with outer index 1 is zero, so the row's output there is
+    # exactly 0.0.
     n = 3
     rng = np.random.default_rng(d + 10 * site)
     vecs = _complex_normal(rng, (2, d**n))
@@ -403,6 +408,131 @@ def test_rank_one_row_on_zero_block_is_exact_zero(d, site):
     blocks = out.reshape(2, d ** (n - site - 1), d**site)
     assert np.all(blocks[:, 1] == 0.0)
     assert np.all(blocks[:, 0] != 0.0)
+
+
+# (d, N, width, the sites that take the operator-first layout): every site s
+# > 0 with d**s <= min(A, 8), A = d**(N - s - width).  N = 7 and 8 reach the
+# b == A == 8 boundary, N = 6 the b == A == 4 one, d = 3 at N = 3 and 4 the
+# b == A == 3 one; d = 3 at N = 6 has b = 9 < A at site 2, above the cap.
+OPERATOR_FIRST_CASES = [
+    (2, 7, 1, (1, 2, 3)), (2, 6, 2, (1, 2)), (2, 8, 2, (1, 2, 3)),
+    (3, 6, 1, (1,)), (3, 6, 2, (1,)), (3, 3, 1, (1,)), (3, 4, 2, (1,)),
+]
+
+
+def _operator_first_calls(monkeypatch) -> list:
+    """Patch a spy over qstate._apply_operator_first; returns its call list."""
+    calls = []
+    inner = qstate._apply_operator_first
+
+    def spy(x, op):
+        calls.append(x.shape)
+        return inner(x, op)
+
+    monkeypatch.setattr(qstate, "_apply_operator_first", spy)
+    return calls
+
+
+def _check_layout_against_kron(d, n, width, kind, calls):
+    """Every site of N: the kron(I, op, I) oracle to 1e-12, each batch entry
+    equal bit for bit to its per-vector call, and for (1, d) rows the exact
+    zeros of zero blocks; returns the sites whose call used operator-first."""
+    m = d**width
+    rng = np.random.default_rng(1000 * d + 10 * n + width)
+    vec_batch, op_batch, e = {
+        "gates": ((3,), (3,), m),  # per-vector maps, as a circuit stack takes gates
+        "broadcast": ((3, 1), (2,), m),  # B branches x a set of k maps
+        "rows": ((3, 1), (d,), 1),  # rank-one (1, d) rows
+    }[kind]
+    batch = np.broadcast_shapes(vec_batch, op_batch)
+    hit = []
+    for site in range(1, n - width + 1):
+        a, b = d ** (n - site - width), d**site
+        vecs = _complex_normal(rng, vec_batch + (d**n,))
+        vecs.reshape(vec_batch + (a, m, b))[..., a // 2, :, :] = 0.0  # one zero block row
+        ops = _complex_normal(rng, op_batch + (e, m))
+        kernel = apply_kraus_vector if width == 1 else apply_two_site_vector
+        before = len(calls)
+        out = kernel(vecs, n, d, site, ops)
+        if len(calls) > before:
+            hit.append(site)
+        assert out.shape == batch + (e * d ** (n - width),)
+        vb = np.broadcast_to(vecs, batch + (d**n,))
+        ob = np.broadcast_to(ops, batch + (e, m))
+        for idx in np.ndindex(*batch):
+            full = np.kron(np.kron(np.eye(a), ob[idx]), np.eye(b))
+            assert np.abs(out[idx] - full @ vb[idx]).max() < 1e-12
+            assert np.array_equal(out[idx], kernel(vb[idx], n, d, site, ob[idx]))
+        blocks = out.reshape(batch + (a, e, b))
+        assert np.all(blocks[..., a // 2, :, :] == 0.0)
+        if e == 1:
+            assert np.all(np.delete(blocks, a // 2, axis=-3) != 0.0)
+    return hit
+
+
+def _kinds(cases):
+    """Each case with every batch kind; rank-one rows act on one site only."""
+    return [c + (k,) for c in cases for k in ("gates", "broadcast", "rows")
+            if k != "rows" or c[2] == 1]
+
+
+@pytest.mark.parametrize("d, n, width, sites, kind", _kinds(OPERATOR_FIRST_CASES))
+def test_operator_first_layout_matches_kron(d, n, width, sites, kind, monkeypatch):
+    # The layout runs on exactly the listed sites, and the left-multiply one
+    # on the others, with the same results to the oracle.
+    calls = _operator_first_calls(monkeypatch)
+    assert _check_layout_against_kron(d, n, width, kind, calls) == list(sites)
+
+
+@pytest.mark.parametrize("d, n, width, sites, kind",
+                         _kinds([(2, 7, 1, (1, 2, 3)), (3, 6, 2, (1,))]))
+def test_operator_first_chunks_match_kron(d, n, width, sites, kind, monkeypatch):
+    # A 1 KiB scratch bound splits each call into pieces of A and rows of
+    # the first batch axis; the results still match the oracle and the
+    # per-vector calls, which split their vectors into the same pieces.
+    monkeypatch.setattr(qstate, "_BLOCK_SCRATCH_BYTES", 2**10)
+    calls = _operator_first_calls(monkeypatch)
+    assert _check_layout_against_kron(d, n, width, kind, calls) == list(sites)
+
+
+@pytest.mark.parametrize("vec_shape, op_shape, width, site", [
+    ((32, 1, 2**10), (2, 2, 2), 1, 1),  # a weak set on 32 branches: rows of 4
+    ((128, 2**8), (128, 4, 4), 2, 2),  # a circuit stack's gates: rows of 32
+    ((2, 2**15), (2, 2), 1, 1),  # one vector above the bound: pieces of A
+])
+def test_operator_first_scratch_stays_within_its_bound(vec_shape, op_shape, width, site,
+                                                       monkeypatch):
+    # One call on a stack larger than the scratch bound peaks at its output
+    # plus at most _BLOCK_SCRATCH_BYTES of array data (tracemalloc sees
+    # numpy's buffers); 4 KiB more covers the call's Python objects (array
+    # headers, shape tuples), about 1.6 KiB here.  The first call on a
+    # thread allocates its scratch buffer; later calls reuse it.
+    monkeypatch.setattr(qstate, "_SCRATCH", threading.local())
+    rng = np.random.default_rng(7)
+    vecs, ops = _complex_normal(rng, vec_shape), _complex_normal(rng, op_shape)
+    n = int(np.log2(vec_shape[-1]))
+    assert vecs.nbytes > qstate._BLOCK_SCRATCH_BYTES
+    kernel = apply_kraus_vector if width == 1 else apply_two_site_vector
+    peaks = []  # above the traced memory before each call
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = kernel(vecs, n, 2, site, ops)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            del out
+    finally:
+        tracemalloc.stop()
+    kept = qstate._SCRATCH.buffer
+    out = kernel(vecs, n, 2, site, ops)
+    assert qstate._SCRATCH.buffer is kept
+    assert peaks[0] <= out.nbytes + qstate._BLOCK_SCRATCH_BYTES + 4096
+    assert peaks[1] <= out.nbytes + 4096
+    # An einsum over the (..., A, m, b) view as the oracle; a kron would not fit.
+    view = vecs.reshape(vec_shape[:-1] + (-1, 2**width, 2**site))
+    want = np.einsum("...em,...amb->...aeb", ops, view)
+    assert np.abs(out - want.reshape(want.shape[:-3] + (-1,))).max() < 1e-12
 
 
 def test_subadditivity_of_marginals():
