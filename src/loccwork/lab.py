@@ -38,9 +38,6 @@ TAIL_CSV_HEADER = "alpha,threshold,exceed_count,samples,empirical,bound,wilson_l
 # Exponential tail rate for uniformly random states: 2/(9 pi^3 ln 2).
 TAIL_C1 = 2.0 / (9.0 * math.pi**3 * math.log(2.0))
 
-# run_tail's Haar draws go through one buffer of at most this many bytes.
-_TAIL_CHUNK_BYTES = 2**21
-
 # Two-sided 99% normal quantile, used for Wilson intervals.
 Z_99 = 2.5758293035489004
 
@@ -397,11 +394,15 @@ def run_tail(
 ) -> list:
     """Tail table of |<0...0|psi>|^2 against the analytic cap.
 
-    "haar" rows test Prob[overlap >= 4*alpha/D] against 2*exp(-C1*alpha);
-    "circuit" rows (depth required) test Prob[overlap >= alpha/D] against
-    (t/alpha)^t with t = design_order.  Before the first draw, alphas (none,
-    or any not > 0) and specs raise StateSpecError; an unknown ensemble, under
-    1000 samples, or a circuit without design_order >= 1 raise ValueError.
+    "haar" rows test Prob[overlap >= 4*alpha/D] against 2*exp(-C1*alpha).
+    For Haar psi the overlap is exactly Beta(1, D-1), so sample i is
+    -expm1(log1p(-u[i]) / (D-1)) with u = default_rng(seed).random(samples):
+    one uniform per sample, whatever D.  "circuit" rows (depth required)
+    test Prob[overlap >= alpha/D] against (t/alpha)^t with t = design_order;
+    sample i is the brickwork circuit seeded seed + i.  Before the first
+    draw, alphas (none, or any not > 0) and specs raise StateSpecError; an
+    unknown ensemble, under 1000 samples, or a circuit without
+    design_order >= 1 raise ValueError.
     """
     alphas = list(alphas)
     if not alphas or not all(a > 0 for a in alphas):
@@ -415,39 +416,23 @@ def run_tail(
         raise ValueError("circuit tail needs design_order >= 1")
     dim = 2**num_sites
     if ensemble_kind == "haar":
-        # Blocks of 20 000 rows, real parts drawn before imaginary parts, fix
-        # the RNG stream; drawing into one reused buffer of at most
-        # _TAIL_CHUNK_BYTES (or one row when a row is larger) keeps memory
-        # flat in D.
-        overlaps = np.empty(samples)
-        rng = np.random.default_rng(seed)
-        chunk = max(1, _TAIL_CHUNK_BYTES // (8 * dim))
-        buf = np.empty((min(chunk, samples, 20_000), dim))
-        for start in range(0, samples, 20_000):
-            m = min(20_000, samples - start)
-            first = np.zeros(m)
-            total = np.zeros(m)
-            for _part in ("real", "imag"):
-                for lo in range(0, m, chunk):
-                    x = rng.standard_normal(out=buf[: min(chunk, m - lo)])
-                    first[lo : lo + len(x)] += x[:, 0] ** 2
-                    total[lo : lo + len(x)] += np.einsum("ij,ij->i", x, x)
-            overlaps[start : start + m] = first / total
+        # One uniform per sample, mapped through the inverse of the exact
+        # tail (1 - x)^(D-1) of Beta(1, D-1).
+        u = np.random.default_rng(seed).random(samples)
+        overlaps = -np.expm1(np.log1p(-u) / (dim - 1))
+        thresholds = [4.0 * alpha / dim for alpha in alphas]
+        bounds = [2.0 * math.exp(-TAIL_C1 * alpha) for alpha in alphas]
     else:
         # Sample i is the circuit seeded seed + i; chunks run batched.
         spec = ensembles.CircuitSpec(num_sites, depth, seed)
         overlaps = np.concatenate(
             [np.abs(amps[:, 0]) ** 2 for amps in ensembles.sample_circuits(spec, samples)]
         )
+        thresholds = [alpha / dim for alpha in alphas]
+        bounds = [(design_order / alpha) ** design_order for alpha in alphas]
 
     out = []
-    for alpha in alphas:
-        if ensemble_kind == "haar":
-            threshold = 4.0 * alpha / dim
-            bound = 2.0 * math.exp(-TAIL_C1 * alpha)
-        else:
-            threshold = alpha / dim
-            bound = (design_order / alpha) ** design_order
+    for alpha, threshold, bound in zip(alphas, thresholds, bounds):
         count = int((overlaps >= threshold).sum())
         lo, hi = wilson_interval(count, samples)
         out.append(

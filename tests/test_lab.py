@@ -557,37 +557,48 @@ class TestRunTail:
             lab.run_tail(ensemble, 14, 20000, alphas, seed=0, depth=2, design_order=2)
 
     def test_seed_stability_across_runs(self):
-        # Two independent runs agree to within each other's 99% interval.
+        # Two independent runs agree under the exact law: each count is
+        # Binomial(n, p) with p = (1 - 4/64)^63, so a - b has variance
+        # 2 n p (1 - p), and a 5 sigma gap has probability 5.5e-7 (exact
+        # convolution of the two binomials).
         a = lab.run_tail("haar", 6, 4000, [1.0], seed=21)[0]
         b = lab.run_tail("haar", 6, 4000, [1.0], seed=22)[0]
-        assert a.wilson_low <= b.empirical <= a.wilson_high
-        assert b.wilson_low <= a.empirical <= b.wilson_high
+        p = (1 - 4 / 64) ** 63
+        assert abs(a.exceed_count - b.exceed_count) <= 5 * math.sqrt(2 * 4000 * p * (1 - p))
 
-    def test_haar_counts_match_single_block_draw(self):
-        # 25 000 samples at D = 128: two blocks, the first drawn in two chunks.
+    def test_haar_counts_match_documented_draw(self):
+        # Sample i is -expm1(log1p(-u[i]) / (D-1)), u = default_rng(seed).random(samples).
         num_sites, samples, seed = 7, 25_000, 3
         alphas = [0.25, 0.5, 1.0, 2.0]
         rows = lab.run_tail("haar", num_sites, samples, alphas, seed=seed)
         dim = 2**num_sites
-        rng = np.random.default_rng(seed)
-        overlaps = []
-        for m in (20_000, 5_000):
-            block = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
-            overlaps.append(np.abs(block[:, 0]) ** 2 / (np.abs(block) ** 2).sum(axis=1))
-        overlaps = np.concatenate(overlaps)
+        u = np.random.default_rng(seed).random(samples)
+        overlaps = -np.expm1(np.log1p(-u) / (dim - 1))
         counts = [int((overlaps >= 4 * a / dim).sum()) for a in alphas]
         assert [r.exceed_count for r in rows] == counts
         assert all(c > 0 for c in counts)
 
+    def test_haar_law_at_small_dimension(self):
+        # At D = 4 the threshold 4*alpha/D is alpha itself, and the tail
+        # (1 - t)^3 is far from any large-D limit: a wrong exponent, or a
+        # map of the uniforms that is not this tail's inverse, moves some
+        # count by many sigma.
+        samples = 200_000
+        alphas = [0.02, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
+        rows = lab.run_tail("haar", 2, samples, alphas, seed=4)
+        for r in rows:
+            p = (1 - r.threshold) ** 3
+            assert abs(r.exceed_count - samples * p) <= 5 * math.sqrt(samples * p * (1 - p))
+
     def test_haar_memory_is_flat_in_the_dimension(self):
-        # One buffer of at most _TAIL_CHUNK_BYTES at D = 2^10 and at 2^14,
-        # plus the per-sample arrays (overlaps, and a block's running first
-        # and total sums) and numpy's fixed ufunc buffers.
+        # At D = 2^10, 2^14 and 2^24 the draw holds only per-sample arrays
+        # (the uniforms, the overlaps and two temporaries) and numpy's fixed
+        # ufunc buffers: nothing that grows with D.
         samples = 1000
-        bound = lab._TAIL_CHUNK_BYTES + 4 * 8 * samples + 3 * np.getbufsize() * 16 + 64 * 1024
+        bound = 4 * 8 * samples + 3 * np.getbufsize() * 16 + 64 * 1024
         # A first call pays for imports that numpy's random module defers.
         lab.run_tail("haar", 4, samples, [1.0], seed=5)
-        for num_sites in (10, 14):
+        for num_sites in (10, 14, 24):
             tracemalloc.start()
             try:
                 lab.run_tail("haar", num_sites, samples, [1.0], seed=5)
